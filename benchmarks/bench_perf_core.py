@@ -5,10 +5,11 @@ scenario results are compared against the committed
 ``BENCH_perf_core.json`` (30% tolerance, calibration-normalized — see
 :mod:`repro.perf.baseline`), and the headline 1k-candidate batch
 evaluation must hold its >= 10x speedup over the scalar loop at strict
-fidelity.  Regenerate the baseline after an intentional perf change
-with::
+fidelity.  The baseline check only compares runs at the baseline's own
+fidelity (smoke, as the CI perf job runs).  Regenerate the baseline
+after an intentional perf change with::
 
-    clover-repro bench --out BENCH_perf_core.json
+    clover-repro bench --fidelity smoke --out BENCH_perf_core.json
 """
 
 import pytest
@@ -82,6 +83,11 @@ def test_no_regression_vs_committed_baseline(benchmark):
     if not path.exists():  # pragma: no cover - the baseline is committed
         pytest.fail(f"committed perf baseline missing: {path}")
     baseline = load_baseline(path)
+    if baseline.get("fidelity") != FIDELITY:
+        pytest.skip(
+            f"committed baseline is {baseline.get('fidelity')!r} fidelity; "
+            f"CLOVER_BENCH_FIDELITY={FIDELITY!r} numbers do not compare"
+        )
     suite = once(benchmark, run_suite, FIDELITY)
     failures = check_regressions(suite, baseline, DEFAULT_TOLERANCE)
     assert not failures, "perf regression vs committed baseline:\n" + "\n".join(

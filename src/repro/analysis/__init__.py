@@ -9,9 +9,7 @@
 from repro.analysis.runner import (
     APPLICATIONS_UNDER_TEST,
     ExperimentRunner,
-    FleetSpec,
     RunSpec,
-    scenario_from_fleet_spec,
 )
 from repro.analysis.reporting import format_table, format_series, render
 from repro.analysis.export import (
@@ -48,8 +46,6 @@ from repro.analysis.experiments import (
 
 __all__ = [
     "RunSpec",
-    "FleetSpec",
-    "scenario_from_fleet_spec",
     "ExperimentRunner",
     "APPLICATIONS_UNDER_TEST",
     "format_table",

@@ -653,14 +653,6 @@ class Fig12Result:
     evals_sla_met: dict[str, int]
     evals_sla_violated: dict[str, int]
 
-    @property
-    def clover_saved_fraction(self) -> float:
-        """Fig. 12b's "Saved": Clover's evaluation reduction vs Blover."""
-        b = self.evaluations["blover"]
-        if b == 0:
-            return 0.0
-        return max(0.0, 1.0 - self.evaluations["clover"] / b)
-
     def table(self):
         headers = ("Scheme", "Opt time %", "Evals", "SLA met", "SLA violated")
         rows = [

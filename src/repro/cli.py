@@ -22,11 +22,8 @@ Subcommands
     Run every experiment and write one Markdown reproduction report.
 ``demo``
     A short end-to-end Clover run with a summary report.
-``fleet``
-    Legacy multi-region front door.  Every flag combination builds the
-    same :class:`ScenarioSpec` that ``repro run <file>`` would load
-    (tested field-for-field) and runs it through the scenario layer —
-    the flags keep working, the execution path is one.
+``bench``
+    Run the pinned perf scenarios and check them against a baseline.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from repro.analysis.experiments import EXPERIMENT_REGISTRY
 from repro.analysis.runner import ExperimentRunner
 from repro.analysis.reporting import render
 
-__all__ = ["main", "build_parser", "fleet_args_to_spec"]
+__all__ = ["main", "build_parser"]
 
 #: Suffixes `run`/`sweep` treat as scenario files rather than experiments.
 SCENARIO_SUFFIXES = (".toml", ".json")
@@ -147,150 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--hours", type=float, default=12.0)
     demo.add_argument("--seed", type=int, default=0)
 
-    from repro.fleet.regions import REGION_NAMES
-    from repro.fleet.routing import ROUTER_NAMES
-
-    fleet = sub.add_parser(
-        "fleet", help="multi-region run with carbon-aware routing"
-    )
-    fleet.add_argument(
-        "--regions",
-        default="us-ciso,uk-eso,nordic-hydro",
-        help=(
-            "comma-separated region names "
-            f"(valid: {', '.join(REGION_NAMES)}; default: %(default)s)"
-        ),
-    )
-    fleet.add_argument(
-        "--router",
-        default="carbon-greedy",
-        choices=ROUTER_NAMES,
-        help="traffic-splitting policy (default: %(default)s)",
-    )
-    fleet.add_argument(
-        "--duration-h",
-        type=float,
-        default=24.0,
-        help="simulated hours (default: %(default)s)",
-    )
-    fleet.add_argument("--application", default="classification")
-    fleet.add_argument("--scheme", default="clover")
-    fleet.add_argument("--n-gpus", type=int, default=4, dest="n_gpus")
-    from repro.gpu.profiles import DEVICE_NAMES
-
-    fleet.add_argument(
-        "--devices",
-        default=None,
-        help=(
-            "GPU generations per region: one spec for every region "
-            "('l4'), or comma-separated region=spec pairs "
-            "('us-ciso=a100,uk-eso=l4'); a spec mixes devices within a "
-            "region with '+' ('a100:1+l4:1', counts must total --n-gpus). "
-            f"Known devices: {', '.join(DEVICE_NAMES)}.  Default: every "
-            "GPU an a100"
-        ),
-    )
-    fleet.add_argument(
-        "--intensity-only",
-        action="store_true",
-        dest="intensity_only",
-        help=(
-            "rank regions on raw grid intensity instead of effective "
-            "gCO2/request (the pre-heterogeneity carbon-greedy/"
-            "forecast-aware behaviour; identical on all-a100 fleets)"
-        ),
-    )
-    fleet.add_argument(
-        "--fidelity", default="smoke", choices=("smoke", "default", "paper")
-    )
-    fleet.add_argument("--seed", type=int, default=0)
-    fleet.add_argument(
-        "--demand",
-        default=None,
-        choices=("constant", "diurnal"),
-        help="geo-origin demand model (default: constant global rate)",
-    )
-    fleet.add_argument(
-        "--ramp-share-per-h",
-        type=float,
-        default=None,
-        dest="ramp_share_per_h",
-        help="max share a region may gain per hour (default: unlimited)",
-    )
-    fleet.add_argument(
-        "--drain-share-per-h",
-        type=float,
-        default=None,
-        dest="drain_share_per_h",
-        help="fraction of resident sessions drainable per hour "
-        "(default: unlimited)",
-    )
-    fleet.add_argument(
-        "--lookahead-h",
-        type=float,
-        default=None,
-        dest="lookahead_h",
-        help="forecast-aware router horizon in hours",
-    )
-    from repro.fleet.capacity import GATING_MODES
-
-    fleet.add_argument(
-        "--gating",
-        default=None,
-        choices=GATING_MODES,
-        help=(
-            "elastic GPU capacity: sleep GPUs when the routed rate falls "
-            "(reactive wakes pay a latency window; forecast pre-wakes from "
-            "the router's lookahead).  Default: every GPU always on"
-        ),
-    )
-    fleet.add_argument(
-        "--wake-energy-j",
-        type=float,
-        default=None,
-        dest="wake_energy_j",
-        help=(
-            "fleet-wide per-wake transition energy for --gating (J), "
-            "overriding the per-device profile defaults (a100 2000 J, "
-            "h100 2500 J, l4 800 J).  Must fit under every device's "
-            "static draw over the wake window"
-        ),
-    )
-    from repro.shifting import ARRIVAL_PROFILES
-
-    fleet.add_argument(
-        "--batch",
-        type=float,
-        default=None,
-        metavar="JOBS_PER_H",
-        help=(
-            "add a deferrable batch workload at this mean arrival rate "
-            "(jobs/hour); the temporal scheduler shifts it into "
-            "forecast-clean epochs.  Default: interactive traffic only"
-        ),
-    )
-    fleet.add_argument(
-        "--batch-requests-per-job",
-        type=float,
-        default=None,
-        dest="batch_requests_per_job",
-        help="inference requests per batch job (default: 1)",
-    )
-    fleet.add_argument(
-        "--batch-deadline-h",
-        type=float,
-        default=None,
-        dest="batch_deadline_h",
-        help="hours each batch job may wait before it must complete "
-        "(default: 8)",
-    )
-    fleet.add_argument(
-        "--batch-arrival",
-        default=None,
-        choices=ARRIVAL_PROFILES,
-        dest="batch_arrival",
-        help="batch arrival profile (default: uniform)",
-    )
     bench = sub.add_parser(
         "bench", help="run the pinned perf scenarios / check the baseline"
     )
@@ -331,7 +184,7 @@ def _is_scenario_path(name: str) -> bool:
 
 
 def _print_fleet_result(report, title: str) -> None:
-    """The shared fleet report block (``run <scenario>`` and ``fleet``)."""
+    """The fleet report block ``run <scenario>`` prints."""
     from repro.analysis.reporting import format_table
 
     headers, rows = report.table()
@@ -597,130 +450,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_fleet_devices(arg: str | None, region_names: list[str]):
-    """``--devices`` → per-region device assignment for RegionSpec.
-
-    Returns a dict region -> (str | tuple) device spec; regions absent
-    from the mapping keep the implicit all-A100 fleet.  A bare spec (no
-    ``=``) applies to every region; within-region mixes join device
-    counts with ``+`` (``a100:1+l4:1``).  ``region_names`` must already
-    be lowercased (the registry is case-insensitive).
-    """
-    from repro.gpu.profiles import parse_region_devices
-
-    if arg is None:
-        return {}
-
-    def one(spec: str):
-        return parse_region_devices(spec.replace("+", ","))
-
-    if "=" not in arg:
-        spec = one(arg)
-        return {region: spec for region in region_names}
-    out = {}
-    for token in arg.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        region, sep, spec = token.partition("=")
-        if not sep:
-            raise ValueError(
-                f"mixing bare and region=spec device tokens ({token!r}); "
-                "either give one spec for all regions or map every region"
-            )
-        region = region.strip().lower()
-        if region not in region_names:
-            raise ValueError(
-                f"--devices names unknown region {region!r} "
-                f"(fleet: {', '.join(region_names)})"
-            )
-        out[region] = one(spec.strip())
-    return out
-
-
-def fleet_args_to_spec(args: argparse.Namespace):
-    """The :class:`ScenarioSpec` a legacy ``fleet`` invocation describes.
-
-    This *is* the shim: every historical flag maps onto one spec field,
-    and the tests pin each mapping, so the legacy front door can never
-    drift from the declarative one.
-    """
-    from repro.scenarios import (
-        BatchSpec,
-        DemandSpec,
-        GatingSpec,
-        RegionSpec,
-        RoutingSpec,
-        ScenarioSpec,
-    )
-
-    # The registry is case-insensitive; normalize once so --devices
-    # region=spec tokens match however --regions was spelled.
-    names = [n.strip().lower() for n in args.regions.split(",") if n.strip()]
-    if not names:
-        raise ValueError("no regions given")
-    devices = _parse_fleet_devices(args.devices, names)
-    return ScenarioSpec(
-        regions=tuple(
-            RegionSpec(name=n, devices=devices.get(n)) for n in names
-        ),
-        application=args.application,
-        scheme=args.scheme,
-        fidelity=args.fidelity,
-        seed=args.seed,
-        n_gpus=args.n_gpus,
-        duration_h=args.duration_h,
-        routing=RoutingSpec(
-            router=args.router,
-            lookahead_h=args.lookahead_h,
-            efficiency_weighted=not args.intensity_only,
-        ),
-        demand=DemandSpec(
-            kind=args.demand,
-            ramp_share_per_h=args.ramp_share_per_h,
-            drain_share_per_h=args.drain_share_per_h,
-        ),
-        gating=GatingSpec(
-            mode=args.gating,
-            wake_energy_j=(
-                args.wake_energy_j if args.gating is not None else None
-            ),
-        ),
-        batch=BatchSpec(
-            jobs_per_h=args.batch,
-            requests_per_job=(
-                args.batch_requests_per_job if args.batch is not None else None
-            ),
-            deadline_h=(
-                args.batch_deadline_h if args.batch is not None else None
-            ),
-            arrival=args.batch_arrival if args.batch is not None else None,
-        ),
-    )
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.scenarios import Scenario
-
-    try:
-        spec = fleet_args_to_spec(args)
-        t0 = time.perf_counter()
-        report = Scenario(spec).run()
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0] if exc.args else exc, file=sys.stderr)
-        return 2
-    dt = time.perf_counter() - t0
-    _print_fleet_result(
-        report,
-        title=(
-            f"== fleet: {len(report.regions)} regions, "
-            f"router={report.router_name}, "
-            f"scheme={report.scheme_name} ({args.fidelity}, {dt:.1f}s) =="
-        ),
-    )
-    return 0
-
-
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.core.service import CarbonAwareInferenceService
 
@@ -808,8 +537,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_report(args)
     if args.command == "demo":
         return _cmd_demo(args)
-    if args.command == "fleet":
-        return _cmd_fleet(args)
     if args.command == "bench":
         return _cmd_bench(args)
     raise AssertionError(f"unhandled command {args.command!r}")

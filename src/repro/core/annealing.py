@@ -172,10 +172,6 @@ class OptimizationResult:
     def num_evaluations(self) -> int:
         return len(self.evaluated)
 
-    @property
-    def sla_compliant_evaluations(self) -> int:
-        return sum(1 for c in self.evaluated if c.value.sla_met)
-
 
 class _Tracker:
     """Shared bookkeeping between SA and random search."""

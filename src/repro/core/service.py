@@ -22,7 +22,7 @@ its step-wise API with per-epoch routed rates instead of :meth:`run`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.carbon.accounting import DEFAULT_PUE, carbon_grams
 from repro.carbon.intensity import CarbonIntensityTrace
@@ -337,14 +337,3 @@ class CarbonAwareInferenceService:
         if duration_h is None:
             duration_h = self.trace.span_h
         return self.controller.run(duration_h)
-
-    def with_objective(self, **changes) -> "CarbonAwareInferenceService":
-        """Clone with a tweaked objective (e.g. a new lambda or floor).
-
-        Accepts any :class:`ObjectiveSpec` field; resets the monitor state.
-        """
-        new_objective = replace(self.controller.objective, **changes)
-        self.scheme.objective = new_objective
-        self.controller.objective = new_objective
-        self.controller.monitor.reset()
-        return self

@@ -354,14 +354,6 @@ class FleetResult:
         }
 
     @property
-    def origin_region_shares(self) -> np.ndarray:
-        """(origin x region) share of all routed traffic, summed over epochs."""
-        self._require_demand()
-        totals = np.sum(self.origin_plans, axis=0)
-        grand = totals.sum()
-        return totals / grand if grand > 0 else np.zeros_like(totals)
-
-    @property
     def mean_net_latency_ms(self) -> float:
         """Traffic-weighted network latency users actually experienced."""
         self._require_demand()

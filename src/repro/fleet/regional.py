@@ -512,9 +512,3 @@ class RegionalService:
                 hi[idx] = np.where(ok, hi[idx], mid)
             out[active] = lo[active]
         return out
-
-    def effective_p95_ms(self, service_p95_ms: float) -> float:
-        """End-to-end p95 a user of this region observes."""
-        if not np.isfinite(service_p95_ms):
-            return float("inf")
-        return service_p95_ms + self.region.net_latency_ms

@@ -65,11 +65,18 @@ def check_regressions(
     """Compare a fresh run against the committed baseline.
 
     Returns a list of human-readable failures (empty = no regression).
+    A baseline recorded at another fidelity is one failure: the scenarios
+    size their work by fidelity, so their numbers do not compare.
     Scenarios present only on one side are skipped: adding a scenario
     must not fail the gate until its baseline is committed.
     """
     if not 0.0 < tolerance < 1.0:
         raise ValueError(f"tolerance must be in (0, 1), got {tolerance}")
+    if baseline.get("fidelity") != current.fidelity:
+        return [
+            f"fidelity mismatch: baseline recorded at "
+            f"{baseline.get('fidelity')!r}, this run at {current.fidelity!r}"
+        ]
     failures: list[str] = []
     floor = 1.0 - tolerance
     base_cal = float(baseline["calibration_ops_per_s"])

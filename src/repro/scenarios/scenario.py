@@ -1,12 +1,9 @@
 """Scenario: validate a ScenarioSpec, assemble the fleet, run it.
 
-The one place spec fields turn into built objects.  Everything the legacy
-``ExperimentRunner.run_fleet`` used to assemble inline — region registry
+The one place spec fields turn into built objects: region registry
 lookups, device pools, router construction (with the intensity-only
-ablation), gating policies, per-region schemes — happens here, through the
-same factory calls, so a spec converted from a legacy ``FleetSpec`` builds
-the *identical* coordinator and reproduces its results bit for bit (golden
-tested).
+ablation), gating policies, batch classes and per-region schemes all
+happen here, so two equal specs always build the identical coordinator.
 
 >>> from repro.scenarios import RegionSpec, ScenarioSpec
 >>> spec = ScenarioSpec(

@@ -1,22 +1,19 @@
 """ScenarioSpec: one declarative, serializable description per experiment.
 
-Four PRs of fleet features each grew the harness a new hand-written
-experiment function, another ``FleetSpec`` field and another CLI flag —
-scenario diversity was costing quadratic glue.  This module replaces that
-accretion with one composable value type: a :class:`ScenarioSpec` is the
-*entire* description of a fleet experiment — topology, per-region devices
-**and schemes**, demand model, routing policy, gating policy, fidelity and
-seed — as plain frozen dataclasses of plain data.  Everything downstream
-(the :class:`~repro.scenarios.scenario.Scenario` executor, the sweep
-expander, the TOML/JSON serializers, the experiment registry and both CLI
-front doors) consumes this one type, so a new scenario axis is a new spec
-field instead of a new fork of the harness.
+A :class:`ScenarioSpec` is the *entire* description of a fleet
+experiment — topology, per-region devices **and schemes**, demand model,
+routing policy, gating policy, fidelity and seed — as plain frozen
+dataclasses of plain data.  Everything downstream (the
+:class:`~repro.scenarios.scenario.Scenario` executor, the sweep expander,
+the TOML/JSON serializers, the experiment registry and the CLI's ``run``
+and ``sweep`` commands) consumes this one type, so a new scenario axis is
+a new spec field instead of a new fork of the harness.
 
-Specs are hashable (they memoize runs), comparable (legacy shims are
-tested to build byte-equal specs) and strict: every field is validated at
-construction against the same registries the fleet layer uses, so a typo
-fails at spec time with the valid choices in the message, not three layers
-deep in assembly.
+Specs are hashable (they memoize runs), comparable (experiment entries
+are tested to build the expected specs) and strict: every field is
+validated at construction against the same registries the fleet layer
+uses, so a typo fails at spec time with the valid choices in the message,
+not three layers deep in assembly.
 
 >>> spec = ScenarioSpec(
 ...     regions=(

@@ -1,13 +1,7 @@
 """Shared utilities: seeded RNG plumbing and statistics helpers."""
 
 from repro.utils.rng import RngMixer, as_generator, spawn_child, stable_hash
-from repro.utils.stats import (
-    exact_percentile,
-    weighted_mean,
-    normalize,
-    running_mean,
-    percentile_ci,
-)
+from repro.utils.stats import exact_percentile, weighted_mean
 
 __all__ = [
     "RngMixer",
@@ -16,7 +10,4 @@ __all__ = [
     "stable_hash",
     "exact_percentile",
     "weighted_mean",
-    "normalize",
-    "running_mean",
-    "percentile_ci",
 ]

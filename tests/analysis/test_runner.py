@@ -81,26 +81,25 @@ class TestDerivedMetrics:
 
 
 class TestFleetRuns:
-    def _spec(self, **overrides):
-        from repro.analysis.runner import FleetSpec
+    def _spec(self):
+        from repro.scenarios import RegionSpec, RoutingSpec, ScenarioSpec
 
-        base = dict(
-            region_names=("us-ciso",), application="classification",
-            scheme="base", router="static", fidelity="smoke", seed=0,
-            n_gpus=2, duration_h=4.0,
+        return ScenarioSpec(
+            regions=(RegionSpec(name="us-ciso"),),
+            application="classification", scheme="base", fidelity="smoke",
+            seed=0, n_gpus=2, duration_h=4.0,
+            routing=RoutingSpec(router="static"),
         )
-        base.update(overrides)
-        return FleetSpec(**base)
 
     def test_fleet_run_is_memoized(self, runner):
-        r1 = runner.run_fleet(self._spec())
-        r2 = runner.run_fleet(self._spec())
+        r1 = runner.run_scenario(self._spec())
+        r2 = runner.run_scenario(self._spec())
         assert r1 is r2
 
     def test_fleet_n1_static_matches_plain_run(self, runner):
         """The runner's fleet path and single-cluster path agree exactly
         on the paper trace (registry regions embed the same traces)."""
-        fleet = runner.run_fleet(self._spec())
+        fleet = runner.run_scenario(self._spec())
         plain = runner.run(SPEC)
         assert fleet.total_requests == plain.total_requests
         assert fleet.mean_accuracy == plain.mean_accuracy

@@ -9,7 +9,7 @@ on effective gCO2/request and gate their least-efficient silicon first.
 import numpy as np
 import pytest
 
-from repro.analysis.runner import ExperimentRunner, FleetSpec
+from repro.analysis.runner import ExperimentRunner
 from repro.fleet import (
     CapacityManager,
     FleetCoordinator,
@@ -19,6 +19,8 @@ from repro.fleet import (
 )
 from repro.fleet.regional import RegionalService
 from repro.fleet.routing import CarbonGreedyRouter, RoutingContext, make_router
+from repro.gpu.profiles import parse_region_devices
+from repro.scenarios import RegionSpec, RoutingSpec, Scenario, ScenarioSpec
 
 GPUS = 2
 
@@ -254,59 +256,50 @@ class TestHeterogeneousCapacityManager:
             )
 
 
-class TestFleetSpecDevices:
+class TestScenarioDevices:
     def test_runner_threads_devices_and_efficiency_flag(self):
         runner = ExperimentRunner()
-        spec = FleetSpec(
-            region_names=("us-ciso", "uk-eso"),
-            router="carbon-greedy",
+        spec = ScenarioSpec(
+            regions=(
+                RegionSpec(name="us-ciso", devices="a100"),
+                RegionSpec(name="uk-eso", devices="l4"),
+            ),
             fidelity="smoke",
             n_gpus=2,
             duration_h=3.0,
-            devices=("a100", "l4"),
+            routing=RoutingSpec(router="carbon-greedy"),
         )
-        result = runner.run_fleet(spec)
+        result = runner.run_scenario(spec)
         assert result.regions[0].devices is None or result.regions[0].devices
         assert result.regions[1].device_pool().names == ("l4", "l4")
         # The intensity-only ablation is a distinct memo entry.
-        ablation = runner.run_fleet(
-            spec.__class__(**{**spec.__dict__, "efficiency_weighted": False})
+        ablation = runner.run_scenario(
+            spec.override("routing.efficiency_weighted", False)
         )
-        assert ablation is not runner.run_fleet(spec)
+        assert ablation is not runner.run_scenario(spec)
 
     def test_mixed_pool_spec_string(self):
-        runner = ExperimentRunner()
-        spec = FleetSpec(
-            region_names=("us-ciso",),
-            router="static",
-            fidelity="smoke",
-            n_gpus=2,
-            duration_h=2.0,
-            devices=("a100:1,l4:1",),
+        result = ExperimentRunner().run_scenario(
+            ScenarioSpec(
+                regions=(
+                    RegionSpec(
+                        name="us-ciso",
+                        devices=parse_region_devices("a100:1,l4:1"),
+                    ),
+                ),
+                fidelity="smoke",
+                n_gpus=2,
+                duration_h=2.0,
+                routing=RoutingSpec(router="static"),
+            )
         )
-        result = runner.run_fleet(spec)
         assert result.regions[0].device_pool().names == ("l4", "a100")
 
-    def test_intensity_only_static_rejected(self):
-        runner = ExperimentRunner()
-        with pytest.raises(ValueError, match="intensity-only"):
-            runner.run_fleet(
-                FleetSpec(
-                    region_names=("us-ciso",),
-                    router="static",
-                    fidelity="smoke",
-                    n_gpus=2,
-                    efficiency_weighted=False,
-                )
-            )
-
     def test_device_count_mismatch_rejected(self):
-        runner = ExperimentRunner()
-        with pytest.raises(ValueError, match="device specs"):
-            runner.run_fleet(
-                FleetSpec(
-                    region_names=("us-ciso", "uk-eso"),
-                    fidelity="smoke",
-                    devices=("a100",),
-                )
-            )
+        spec = ScenarioSpec(
+            regions=(RegionSpec(name="us-ciso", devices=("a100",) * 3),),
+            fidelity="smoke",
+            n_gpus=2,
+        )
+        with pytest.raises(ValueError, match="3 device entries"):
+            Scenario(spec).build()

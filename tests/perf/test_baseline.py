@@ -16,9 +16,11 @@ from repro.perf import (
 )
 
 
-def suite(ops=1000.0, speedup=10.0, cal=100.0, name="batch_eval_1k"):
+def suite(
+    ops=1000.0, speedup=10.0, cal=100.0, name="batch_eval_1k", fidelity="smoke"
+):
     return SuiteResult(
-        fidelity="smoke",
+        fidelity=fidelity,
         calibration_ops_per_s=cal,
         scenarios=(
             ScenarioResult(
@@ -99,6 +101,15 @@ class TestCheckRegressions:
         base = load_baseline(write_baseline(suite(), tmp_path / "b.json"))
         added = suite(name="brand_new", ops=1.0, speedup=0.01)
         assert check_regressions(added, base) == []
+
+    def test_fidelity_mismatch_fails(self, tmp_path):
+        """A default-fidelity run against a smoke baseline is one failure,
+        even when every number would pass."""
+        base = load_baseline(write_baseline(suite(), tmp_path / "b.json"))
+        failures = check_regressions(suite(fidelity="default"), base)
+        assert len(failures) == 1
+        assert "fidelity mismatch" in failures[0]
+        assert "'smoke'" in failures[0] and "'default'" in failures[0]
 
     def test_tolerance_validation(self, tmp_path):
         base = load_baseline(write_baseline(suite(), tmp_path / "b.json"))

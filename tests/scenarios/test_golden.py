@@ -1,173 +1,120 @@
-"""Golden tests: the ScenarioSpec path reproduces the legacy path bit for bit.
+"""Golden tests: pinned outputs and pinned specs of the scenario layer.
 
-Two layers of protection against redesign drift:
+Two layers of protection against drift:
 
-* **Execution** — ``legacy_run_fleet`` below is a verbatim replica of the
-  pre-scenario ``ExperimentRunner.run_fleet`` assembly (direct registry
-  lookups, no cache pooling).  For one representative ``FleetSpec`` per
-  legacy experiment family (``fig16``/``fleet``/``demand``/``gating``/
-  ``hetero``) the scenario path must reproduce its results exactly —
-  ``==``, not ``approx`` — which also proves cross-region cache pooling
-  changes no number.
-* **Spec mapping** — the experiment entries must build exactly the specs
-  :func:`scenario_from_fleet_spec` derives from their historical
-  ``FleetSpec`` parameters, so the registry entries, the ``fleet`` CLI
-  shim and standalone scenario files can never diverge.
+* **Example-scenario goldens** — every checked-in
+  ``examples/scenarios/*.toml`` runs at smoke fidelity and must reproduce
+  its recorded headline metrics to 1e-9 relative.  A new scenario file
+  needs a recorded golden before it can land; a golden whose file is gone
+  fails too.
+* **Spec mapping** — the fleet experiment entries must build exactly the
+  literal ``ScenarioSpec`` values below, so a registry entry can never
+  silently change what it runs.
 """
 
-from dataclasses import replace as dc_replace
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.runner import ExperimentRunner, FleetSpec, scenario_from_fleet_spec
-from repro.core.service import FidelityProfile
-from repro.fleet import FleetCoordinator, make_gating_policy, region_by_name
-from repro.fleet.routing import make_router
-from repro.gpu.profiles import parse_region_devices
+from repro.analysis.runner import ExperimentRunner
 from repro.scenarios import (
     DemandSpec,
     GatingSpec,
     RegionSpec,
     RoutingSpec,
+    Scenario,
     ScenarioSpec,
+    load_scenario_file,
 )
 
+EXAMPLE_SCENARIOS = (
+    Path(__file__).resolve().parents[2] / "examples" / "scenarios"
+)
 
-def legacy_run_fleet(spec: FleetSpec):
-    """Verbatim replica of the pre-scenario ``run_fleet`` assembly."""
-    device_specs: tuple
-    if spec.devices is None or isinstance(spec.devices, str):
-        device_specs = (spec.devices,) * len(spec.region_names)
-    else:
-        device_specs = spec.devices
-    regions = tuple(
-        region_by_name(
-            name,
-            n_gpus=spec.n_gpus,
-            devices=None if dev is None else parse_region_devices(dev),
-        )
-        for name, dev in zip(spec.region_names, device_specs)
-    )
-    if spec.net_latency_ms is not None:
-        regions = tuple(
-            dc_replace(r, net_latency_ms=spec.net_latency_ms) for r in regions
-        )
-    gating = spec.gating
-    if gating is not None and spec.wake_energy_j is not None:
-        gating = make_gating_policy(gating, wake_energy_j=spec.wake_energy_j)
-    router = spec.router
-    if not spec.efficiency_weighted:
-        router = make_router(spec.router, efficiency_weighted=False)
-    fleet = FleetCoordinator.create(
-        regions,
-        application=spec.application,
-        scheme=spec.scheme,
-        router=router,
-        lambda_weight=spec.lambda_weight,
-        fidelity=FidelityProfile.by_name(spec.fidelity),
-        seed=spec.seed,
-        demand=spec.demand,
-        demand_scale=spec.demand_scale,
-        ramp_share_per_h=spec.ramp_share_per_h,
-        drain_share_per_h=spec.drain_share_per_h,
-        lookahead_h=spec.lookahead_h,
-        forecaster=spec.forecaster,
-        gating=gating,
-    )
-    return fleet.run(duration_h=spec.duration_h)
-
-
-#: One representative FleetSpec per legacy experiment family (smoke
-#: fidelity, short horizons — the *construction* is what is under test).
-GOLDEN_SPECS = {
-    "fig16": FleetSpec(
-        region_names=("us-ciso",),
-        application="classification",
-        scheme="clover",
-        router="static",
-        fidelity="smoke",
-        seed=0,
-        net_latency_ms=0.0,
-        duration_h=6.0,
-    ),
-    "fleet": FleetSpec(
-        region_names=("us-ciso", "uk-eso", "nordic-hydro"),
-        router="carbon-greedy",
-        fidelity="smoke",
-        seed=0,
-        n_gpus=2,
-        duration_h=6.0,
-    ),
-    "demand": FleetSpec(
-        region_names=("us-ciso", "uk-eso", "apac-solar"),
-        router="forecast-aware",
-        fidelity="smoke",
-        seed=0,
-        n_gpus=2,
-        duration_h=6.0,
-        demand="diurnal",
-        ramp_share_per_h=0.10,
-        drain_share_per_h=0.20,
-        lookahead_h=6.0,
-    ),
-    "gating": FleetSpec(
-        region_names=("us-ciso", "uk-eso", "apac-solar"),
-        router="carbon-greedy",
-        fidelity="smoke",
-        seed=0,
-        n_gpus=2,
-        duration_h=6.0,
-        demand="diurnal",
-        ramp_share_per_h=0.10,
-        drain_share_per_h=0.20,
-        gating="reactive",
-    ),
-    "hetero": FleetSpec(
-        region_names=("us-ciso", "apac-solar"),
-        router="carbon-greedy",
-        fidelity="smoke",
-        seed=0,
-        n_gpus=2,
-        duration_h=6.0,
-        demand="diurnal",
-        ramp_share_per_h=0.10,
-        drain_share_per_h=0.20,
-        gating="reactive",
-        wake_energy_j=1000.0,
-        devices=("a100", "l4"),
-        efficiency_weighted=True,
-    ),
+#: Smoke-fidelity results of each example scenario file, keyed by stem.
+#: Regenerate only for an intentional physics change, and say why in the
+#: change log.
+EXAMPLE_GOLDENS = {
+    "diurnal_gating": {
+        "total_requests": 15283542.857142853,
+        "total_energy_j": 36980412.98527627,
+        "total_carbon_g": 3860.2419911824973,
+        "accuracy_loss_pct": 3.7959047973736717,
+        "sla_attainment": 1.000000000000002,
+        "user_sla_attainment": 1.0,
+        "mean_awake_fraction": 0.8506944444444444,
+    },
+    "hetero_fleet": {
+        "total_requests": 10698480.000000004,
+        "total_energy_j": 29437286.874382894,
+        "total_carbon_g": 2767.407036306623,
+        "accuracy_loss_pct": 4.037760500363179,
+        "sla_attainment": 0.999999999999999,
+        "user_sla_attainment": 1.0,
+        "mean_awake_fraction": 0.8611111111111112,
+    },
+    "load_shifting": {
+        "total_requests": 12104741.583542574,
+        "total_energy_j": 28699481.026067585,
+        "total_carbon_g": 1444.3459528426429,
+        "accuracy_loss_pct": 3.5218699049526765,
+        "sla_attainment": 1.0000000000000002,
+        "user_sla_attainment": 1.0,
+        "mean_awake_fraction": 1.0,
+        "batch_deadline_attainment": 1.0,
+        "batch_carbon_g_per_request": 0.00018518195798098097,
+    },
+    "mixed_scheme": {
+        "total_requests": 9625339.999999996,
+        "total_energy_j": 20991453.672605928,
+        "total_carbon_g": 1202.4185792853832,
+        "accuracy_loss_pct": 4.712533876975986,
+        "sla_attainment": 1.0000000000000016,
+    },
+    "router_sweep": {
+        "total_requests": 9627428.571428573,
+        "total_energy_j": 22267492.305584583,
+        "total_carbon_g": 1201.747439827575,
+        "accuracy_loss_pct": 3.834273344834913,
+        "sla_attainment": 0.999999999999999,
+    },
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
-def test_scenario_path_is_bit_for_bit_the_legacy_path(name):
-    spec = GOLDEN_SPECS[name]
-    legacy = legacy_run_fleet(spec)
-    modern = ExperimentRunner().run_fleet(spec)  # shim -> scenario path
-    assert modern.total_requests == legacy.total_requests
-    assert modern.total_energy_j == legacy.total_energy_j
-    assert modern.total_carbon_g == legacy.total_carbon_g
-    assert modern.mean_accuracy == legacy.mean_accuracy
-    assert modern.sla_attainment == legacy.sla_attainment
-    assert modern.router_name == legacy.router_name
-    assert modern.scheme_name == legacy.scheme_name
-    for new_r, old_r in zip(modern.results, legacy.results):
-        assert [e.p95_ms for e in new_r.epochs] == [
-            e.p95_ms for e in old_r.epochs
-        ]
-        assert [e.energy_j for e in new_r.epochs] == [
-            e.energy_j for e in old_r.epochs
-        ]
-        assert [e.requests for e in new_r.epochs] == [
-            e.requests for e in old_r.epochs
-        ]
-    if legacy.has_demand:
-        assert modern.user_sla_attainment == legacy.user_sla_attainment
-    if legacy.has_gating:
-        assert (
-            modern.awake_gpu_series() == legacy.awake_gpu_series()
-        ).all()
+def _golden_metrics(result) -> dict[str, float]:
+    """The pinned metrics of one run; optional subsystems add theirs."""
+    names = [
+        "total_requests",
+        "total_energy_j",
+        "total_carbon_g",
+        "accuracy_loss_pct",
+        "sla_attainment",
+    ]
+    if result.has_demand:
+        names.append("user_sla_attainment")
+    if result.has_gating:
+        names.append("mean_awake_fraction")
+    if result.has_batch:
+        names += ["batch_deadline_attainment", "batch_carbon_g_per_request"]
+    return {name: float(getattr(result, name)) for name in names}
+
+
+#: Every scenario file and every recorded golden, so that either one
+#: missing its counterpart fails.
+EXAMPLE_STEMS = sorted(
+    {p.stem for p in EXAMPLE_SCENARIOS.glob("*.toml")} | set(EXAMPLE_GOLDENS)
+)
+
+
+@pytest.mark.parametrize("stem", EXAMPLE_STEMS)
+def test_example_scenario_matches_golden(stem):
+    path = EXAMPLE_SCENARIOS / f"{stem}.toml"
+    assert path.exists(), f"golden recorded for missing scenario file {path}"
+    assert stem in EXAMPLE_GOLDENS, f"no golden recorded for {path}"
+    spec, _ = load_scenario_file(path)
+    result = Scenario(spec.with_fidelity("smoke")).run()
+    expected = EXAMPLE_GOLDENS[stem]
+    assert _golden_metrics(result) == pytest.approx(expected, rel=1e-9)
 
 
 class RecordingRunner(ExperimentRunner):
@@ -182,8 +129,14 @@ class RecordingRunner(ExperimentRunner):
         return super().run_scenario(spec)
 
 
+#: The demand/gating/hetero experiments' shared workload.
+DIURNAL = DemandSpec(
+    kind="diurnal", ramp_share_per_h=0.10, drain_share_per_h=0.20
+)
+
+
 class TestExperimentsBuildTheShimSpecs:
-    """Each legacy experiment's scenarios == the FleetSpec conversions."""
+    """Each fleet experiment runs exactly the literal specs pinned here."""
 
     def test_fig16(self):
         from repro.analysis.experiments import fig16_geographic
@@ -197,16 +150,14 @@ class TestExperimentsBuildTheShimSpecs:
             trace_names=("ciso-march",),
         )
         expected = [
-            scenario_from_fleet_spec(
-                FleetSpec(
-                    region_names=("us-ciso",),
-                    application="classification",
-                    scheme=scheme,
-                    router="static",
-                    fidelity="smoke",
-                    seed=0,
-                    net_latency_ms=0.0,
-                )
+            ScenarioSpec(
+                regions=(RegionSpec(name="us-ciso"),),
+                application="classification",
+                scheme=scheme,
+                fidelity="smoke",
+                seed=0,
+                net_latency_ms=0.0,
+                routing=RoutingSpec(router="static"),
             )
             for scheme in ("base", "clover")
         ]
@@ -225,17 +176,16 @@ class TestExperimentsBuildTheShimSpecs:
             routers=("static", "carbon-greedy"),
         )
         expected = [
-            scenario_from_fleet_spec(
-                FleetSpec(
-                    region_names=("us-ciso", "uk-eso", "nordic-hydro"),
-                    application="classification",
-                    scheme="clover",
-                    router=r,
-                    fidelity="smoke",
-                    seed=0,
-                    n_gpus=2,
-                    duration_h=3.0,
-                )
+            ScenarioSpec(
+                regions=(
+                    RegionSpec(name="us-ciso"),
+                    RegionSpec(name="uk-eso"),
+                    RegionSpec(name="nordic-hydro"),
+                ),
+                fidelity="smoke",
+                n_gpus=2,
+                duration_h=3.0,
+                routing=RoutingSpec(router=r),
             )
             for r in ("static", "carbon-greedy")
         ]
@@ -253,90 +203,97 @@ class TestExperimentsBuildTheShimSpecs:
             duration_h=3.0,
             routers=("static", "forecast-aware"),
         )
+        regions = (
+            RegionSpec(name="us-ciso"),
+            RegionSpec(name="uk-eso"),
+            RegionSpec(name="apac-solar"),
+        )
         expected = [
-            scenario_from_fleet_spec(
-                FleetSpec(
-                    region_names=("us-ciso", "uk-eso", "apac-solar"),
-                    application="classification",
-                    scheme="clover",
-                    router=r,
-                    fidelity="smoke",
-                    seed=0,
-                    n_gpus=2,
-                    duration_h=3.0,
-                    demand="diurnal",
-                    ramp_share_per_h=0.10,
-                    drain_share_per_h=0.20,
-                    lookahead_h=(6.0 if r == "forecast-aware" else None),
-                )
-            )
-            for r in ("static", "forecast-aware")
+            ScenarioSpec(
+                regions=regions,
+                fidelity="smoke",
+                n_gpus=2,
+                duration_h=3.0,
+                routing=RoutingSpec(router="static"),
+                demand=DIURNAL,
+            ),
+            ScenarioSpec(
+                regions=regions,
+                fidelity="smoke",
+                n_gpus=2,
+                duration_h=3.0,
+                routing=RoutingSpec(router="forecast-aware", lookahead_h=6.0),
+                demand=DIURNAL,
+            ),
         ]
         assert runner.specs == expected
 
     def test_gating(self):
-        from repro.analysis.experiments import GATING_ROWS, gating_elasticity
+        from repro.analysis.experiments import gating_elasticity
 
         runner = RecordingRunner()
         gating_elasticity(
             runner, fidelity="smoke", seed=0, n_gpus=2, duration_h=3.0
         )
+        regions = (
+            RegionSpec(name="us-ciso"),
+            RegionSpec(name="uk-eso"),
+            RegionSpec(name="apac-solar"),
+        )
+        rows = (
+            ("static", None, None),
+            ("carbon-greedy", None, None),
+            ("static", None, "reactive"),
+            ("carbon-greedy", None, "reactive"),
+            ("forecast-aware", 6.0, "reactive"),
+            ("forecast-aware", 6.0, "forecast"),
+        )
         expected = [
-            scenario_from_fleet_spec(
-                FleetSpec(
-                    region_names=("us-ciso", "uk-eso", "apac-solar"),
-                    application="classification",
-                    scheme="clover",
-                    router=router,
-                    fidelity="smoke",
-                    seed=0,
-                    n_gpus=2,
-                    duration_h=3.0,
-                    demand="diurnal",
-                    ramp_share_per_h=0.10,
-                    drain_share_per_h=0.20,
-                    lookahead_h=(6.0 if needs_lookahead else None),
-                    gating=gating,
-                )
+            ScenarioSpec(
+                regions=regions,
+                fidelity="smoke",
+                n_gpus=2,
+                duration_h=3.0,
+                routing=RoutingSpec(router=router, lookahead_h=lookahead_h),
+                demand=DIURNAL,
+                gating=GatingSpec(mode=mode),
             )
-            for _, router, gating, needs_lookahead in GATING_ROWS
+            for router, lookahead_h, mode in rows
         ]
         assert runner.specs == expected
 
     def test_hetero(self):
-        from repro.analysis.experiments import (
-            HETERO_DEVICES,
-            HETERO_ROWS,
-            HETERO_WAKE_ENERGY_J,
-            hetero_fleet,
-        )
+        from repro.analysis.experiments import hetero_fleet
 
         runner = RecordingRunner()
         hetero_fleet(
             runner, fidelity="smoke", seed=0, n_gpus=2, duration_h=3.0
         )
+        rows = (
+            ("static", True, None),
+            ("carbon-greedy", False, None),
+            ("carbon-greedy", True, None),
+            ("forecast-aware", True, 6.0),
+        )
         expected = [
-            scenario_from_fleet_spec(
-                FleetSpec(
-                    region_names=("us-ciso", "uk-eso", "apac-solar"),
-                    application="classification",
-                    scheme="clover",
+            ScenarioSpec(
+                regions=(
+                    RegionSpec(name="us-ciso", devices="a100"),
+                    RegionSpec(name="uk-eso", devices="a100"),
+                    RegionSpec(name="apac-solar", devices="l4"),
+                ),
+                fidelity="smoke",
+                n_gpus=2,
+                duration_h=3.0,
+                routing=RoutingSpec(
                     router=router,
-                    fidelity="smoke",
-                    seed=0,
-                    n_gpus=2,
-                    duration_h=3.0,
-                    demand="diurnal",
-                    ramp_share_per_h=0.10,
-                    drain_share_per_h=0.20,
-                    lookahead_h=(6.0 if needs_lookahead else None),
-                    gating="reactive",
-                    wake_energy_j=HETERO_WAKE_ENERGY_J,
-                    devices=HETERO_DEVICES,
+                    lookahead_h=lookahead_h,
                     efficiency_weighted=efficiency,
-                )
+                ),
+                demand=DIURNAL,
+                gating=GatingSpec(mode="reactive", wake_energy_j=1000.0),
             )
-            for _, router, efficiency, needs_lookahead in HETERO_ROWS
+            for router, efficiency, lookahead_h in rows
         ]
         assert runner.specs == expected
 

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.stats import (
-    exact_percentile,
-    normalize,
-    running_mean,
-    weighted_mean,
-)
+from repro.utils.stats import exact_percentile, weighted_mean
 
 
 class TestExactPercentile:
@@ -62,26 +57,3 @@ class TestWeightedMean:
         with pytest.raises(ValueError):
             weighted_mean([1.0, 2.0], [1.0])
 
-
-class TestNormalize:
-    def test_divides_by_reference(self):
-        out = normalize([2.0, 4.0], 2.0)
-        assert out.tolist() == [1.0, 2.0]
-
-    def test_zero_reference_raises(self):
-        with pytest.raises(ValueError):
-            normalize([1.0], 0.0)
-
-
-class TestRunningMean:
-    def test_window_one_is_identity(self):
-        arr = [1.0, 5.0, 3.0]
-        assert running_mean(arr, 1).tolist() == arr
-
-    def test_smooths_constant_series_exactly(self):
-        out = running_mean([2.0] * 10, 3)
-        assert np.allclose(out[1:-1], 2.0)
-
-    def test_invalid_window_raises(self):
-        with pytest.raises(ValueError):
-            running_mean([1.0], 0)
