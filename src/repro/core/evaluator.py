@@ -392,9 +392,9 @@ class ConfigEvaluator:
         """Batch-compute cache misses as one zero-padded group.
 
         Ragged candidate sets are right-padded to the widest row and
-        masked, so every miss shares a single lockstep p95 bisection —
-        the per-iteration cost amortizes over the whole batch instead of
-        one group per distinct instance count.
+        masked, so every miss shares one estimator pass and one call of
+        the closed-form p95 solver instead of one group per distinct
+        instance count.
         """
         if not pending:  # every configuration was a cache hit
             return

@@ -15,8 +15,10 @@ The model is an M/G/c approximation of the heterogeneous FIFO service:
   Allen–Cunneen factor ``(ca^2 + cs^2) / 2``,
 * conditional on queueing, the wait is approximated as exponential,
 * the response-time CDF is the convolution of that wait with the discrete
-  mixture of per-instance service times, and quantiles are found by
-  bisection on the (monotone) CDF.
+  mixture of per-instance service times.  Between two consecutive service
+  times it has the form ``A - C e^{-beta t}``, so its quantiles are
+  inverted in closed form by one row-wise solver that the scalar and the
+  batched estimates share.
 
 Accuracy against the DES is pinned by tests (see
 ``tests/serving/test_analytic.py``): a few percent on utilization and
@@ -111,6 +113,44 @@ def erlang_c_batch(c, offered_load) -> np.ndarray:
     return np.where(a == 0.0, 0.0, out)
 
 
+def _mixture_quantile_s(q, shares, service_s, p_wait, mean_wait_s, overloaded):
+    """Row-wise ``q``-quantile of the wait + service mixture, in closed form.
+
+    Row ``i`` has the latency CDF ``F(t) = sum_j w_j [t >= s_j]
+    (1 - p e^{-beta (t - s_j)})`` with ``beta = p / mean_wait``.  With the
+    service times sorted, ``F(s_k) = A_k - p D_k`` at breakpoint ``k``
+    (``A_k = sum_{j<=k} w_j``, ``D_k = sum_{j<=k} w_j e^{-beta (s_k - s_j)}``)
+    and ``F(t) = A_k - p D_k e^{-beta (t - s_k)}`` until the next one, which
+    reaches ``q`` at ``t_k = s_k + ln(p D_k / (A_k - q)) / beta``.  Every
+    breakpoint with ``F(s_k) >= q`` and every ``t_k`` bounds the quantile
+    from above (``F`` only grows past a breakpoint), and the first breakpoint
+    reaching ``q`` or the crossing on the segment before it *is* the
+    quantile, so the answer is the smallest candidate.  ``D_k`` comes from a
+    running ``logaddexp`` so ``e^{beta s}`` never overflows.  Rows without
+    queueing reduce to the atoms, overloaded rows return ``inf``, and
+    zero-share (padded) cells drop out.
+    """
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"quantile must be in (0, 1), got {q}")
+    waits = (p_wait > 0) & (mean_wait_s > 0)
+    p = np.where(waits, p_wait, 0.0)[..., None]
+    safe_wait = np.where(waits, mean_wait_s, 1.0)
+    beta = np.where(waits, p_wait / safe_wait, 1.0)[..., None]
+    order = np.argsort(service_s, axis=1)
+    rows = np.arange(order.shape[0])[:, None]
+    s = service_s[rows, order]
+    w = shares[rows, order]
+    a = np.cumsum(w, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bs = beta * s
+        pd = p * np.exp(np.logaddexp.accumulate(np.log(w) + bs, axis=1) - bs)
+        rise = np.maximum(np.log(pd / (a - q)), 0.0) / beta
+    # An atom where F(s_k) already reaches q, else segment k's crossing
+    # (none when the segment tops out at A_k <= q).
+    candidates = np.where(a - pd >= q, s, np.where(a > q, s + rise, np.inf))
+    return np.where(overloaded, np.inf, candidates.min(axis=1))
+
+
 @dataclass(frozen=True)
 class QueueEstimate:
     """Steady-state estimate of the serving pipeline for one configuration."""
@@ -144,25 +184,25 @@ class QueueEstimate:
         return float(np.dot(self.shares, cdf_terms))
 
     def quantile_s(self, q: float) -> float:
-        """The ``q``-quantile (q in (0, 1)) of end-to-end latency, seconds."""
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        if self.overloaded:
-            return float("inf")
-        lo = 0.0
-        hi = float(self.service_s.max()) + self.mean_wait_s
-        # Expand until the CDF brackets q (the exponential tail is unbounded).
-        while self.latency_cdf(hi) < q:
-            hi *= 2.0
-            if hi > 1e9:  # pragma: no cover - defensive
-                return float("inf")
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.latency_cdf(mid) < q:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+        """The ``q``-quantile (q in (0, 1)) of end-to-end latency, seconds.
+
+        At light load the p95 can sit exactly on a service-time atom — here
+        the slowest instance's 50 ms:
+
+        >>> import numpy as np
+        >>> estimate_fifo(np.array([0.01, 0.02, 0.05]), 50.0).p95_ms() == 50.0
+        True
+        """
+        return float(
+            _mixture_quantile_s(
+                q,
+                self.shares[None, :],
+                self.service_s[None, :],
+                self.p_wait,
+                self.mean_wait_s,
+                self.overloaded,
+            )[0]
+        )
 
     def p95_ms(self) -> float:
         """p95 end-to-end latency in milliseconds (the paper's SLA metric)."""
@@ -247,8 +287,8 @@ class BatchQueueEstimate:
     Row ``i`` is exactly what ``estimate_fifo(service_s[i], rates_per_s[i])``
     would produce (the same formulas evaluated elementwise; agreement is
     within ~1e-12 relative, bounded only by summation-order rounding), but
-    all rows share one pass through the Erlang recursion and one lockstep
-    quantile bisection — the evaluator's batch hot path.
+    all rows share one pass through the Erlang recursion and one call of
+    the closed-form quantile solver — the evaluator's batch hot path.
     """
 
     rates_per_s: np.ndarray
@@ -263,75 +303,16 @@ class BatchQueueEstimate:
     def __len__(self) -> int:
         return int(self.rates_per_s.size)
 
-    def _cdf_fn(self):
-        """A lean row-wise CDF closure with the per-row constants hoisted.
-
-        The quantile bisection evaluates the CDF ~82 times; computing
-        ``beta`` and the degenerate/overload masks once keeps each pass to
-        the unavoidable ``exp`` over the ``(n, m)`` block.  Padded cells
-        carry zero shares, so they drop out of every mixture sum.
-        """
-        shares, service = self.shares, self.service_s
-        p_wait = self.p_wait[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            beta = np.where(
-                self.mean_wait_s > 0, self.p_wait / self.mean_wait_s, 0.0
-            )[:, None]
-        degenerate = ((self.p_wait <= 0) | (self.mean_wait_s <= 0))[:, None]
-        overloaded = self.overloaded
-
-        def cdf(t_s: np.ndarray) -> np.ndarray:
-            t = t_s[:, None]
-            x = t - service
-            nonneg = x >= 0
-            tail = 1.0 - p_wait * np.exp(-beta * np.where(nonneg, x, 0.0))
-            terms = np.where(
-                degenerate, nonneg, np.where(nonneg, tail, 0.0)
-            )
-            return np.where(overloaded, 0.0, np.sum(shares * terms, axis=1))
-
-        return cdf
-
-    def _cdf_rows(self, t_s: np.ndarray) -> np.ndarray:
-        """Row-wise ``P(latency <= t_s[i])``; overloaded rows return 0."""
-        return self._cdf_fn()(np.asarray(t_s, dtype=np.float64))
-
     def quantile_s(self, q: float) -> np.ndarray:
         """Row-wise ``q``-quantile of end-to-end latency, seconds."""
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        n = len(self)
-        out = np.full(n, np.inf)
-        ok = ~self.overloaded
-        if not np.any(ok):
-            return out
-        cdf = self._cdf_fn()
-        lo = np.zeros(n)
-        hi = np.where(
-            ok, self.service_s.max(axis=1) + self.mean_wait_s, 1.0
+        return _mixture_quantile_s(
+            q,
+            self.shares,
+            self.service_s,
+            self.p_wait,
+            self.mean_wait_s,
+            self.overloaded,
         )
-        # Expand until every row's CDF brackets q (the exponential tail is
-        # unbounded); rows past the scalar path's 1e9 guard go to inf.
-        for _ in range(64):
-            need = ok & (cdf(hi) < q)
-            if not np.any(need):
-                break
-            hi = np.where(need, hi * 2.0, hi)
-        blown = ok & (hi > 1e9) & (cdf(hi) < q)  # pragma: no cover
-        ok = ok & ~blown
-        # Same 80-step cap as the scalar bisection, but stop once every
-        # row's bracket is ~1e-12 relative — iterations past that point
-        # only churn sub-ulp noise (checked every 8th pass to keep the
-        # reduction off the hot loop).
-        for it in range(80):
-            mid = 0.5 * (lo + hi)
-            less = cdf(mid) < q
-            lo = np.where(ok & less, mid, lo)
-            hi = np.where(ok & ~less, mid, hi)
-            if it % 8 == 7 and bool(np.all(~ok | (hi - lo <= 1e-12 * hi))):
-                break
-        out[ok] = hi[ok]
-        return out
 
     def p95_ms(self) -> np.ndarray:
         """Row-wise p95 end-to-end latency in milliseconds."""
@@ -359,13 +340,13 @@ def estimate_fifo_batch(
     valid:
         Optional ``(n, m)`` boolean mask for ragged candidate sets: rows
         with fewer instances are zero-padded on the right and masked out
-        here, so configurations of different sizes share one lockstep
-        bisection.  Padded cells must hold ``0.0`` service time and end
-        up with zero share, dropping out of every mixture sum.
+        here, so configurations of different sizes share one quantile
+        solve.  Padded cells must hold ``0.0`` service time and end up
+        with zero share, dropping out of every mixture sum.
 
-    Every row reproduces the scalar estimator's formulas; the only
-    divergence is float summation order (``np.dot`` vs row-wise sums),
-    which the fully-converged 80-step quantile bisection keeps below
+    Every row reproduces the scalar estimator's formulas and goes through
+    the same closed-form quantile solver; the only divergence is float
+    summation order (``np.dot`` vs row-wise sums), which stays below
     ~1e-12 relative on p95.
     """
     service = np.asarray(mean_service_s, dtype=np.float64)

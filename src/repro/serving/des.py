@@ -73,23 +73,25 @@ def simulate_fifo(
     assigned = np.empty(n, dtype=np.int64)
 
     # Min-heap of (next_free_time, instance_index); ties resolve to the
-    # lowest index, which keeps the simulation fully deterministic.
+    # lowest index, which keeps the simulation fully deterministic.  The
+    # keys are unique, so replacing the root in place pops them in exactly
+    # the order a pop followed by a push would.
     free_heap: list[tuple[float, int]] = [(0.0, i) for i in range(m)]
     heapq.heapify(free_heap)
-    heappush, heappop = heapq.heappush, heapq.heappop
+    heapreplace = heapq.heapreplace
 
     svc_means = service.tolist()
     arr_list = arrivals.tolist()
     jit_list = jitter.tolist()
     for k in range(n):
-        free_t, i = heappop(free_heap)
+        free_t, i = free_heap[0]
         t = arr_list[k]
         s = t if t > free_t else free_t
         f = s + svc_means[i] * jit_list[k]
         start[k] = s
         finish[k] = f
         assigned[k] = i
-        heappush(free_heap, (f, i))
+        heapreplace(free_heap, (f, i))
 
     return RequestBatch(
         arrival_s=arrivals,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.serving.analytic import erlang_c, estimate_fifo
+from repro.serving.analytic import erlang_c, estimate_fifo, estimate_fifo_batch
 from repro.serving.des import simulate_fifo
 from repro.serving.metrics import summarize
 from repro.serving.workload import PoissonWorkload
@@ -69,8 +69,12 @@ class TestEstimateBasics:
 
     def test_quantile_bounds_validated(self):
         est = estimate_fifo(np.array([0.02]), rate_per_s=10.0)
-        with pytest.raises(ValueError):
-            est.quantile_s(1.5)
+        batch = estimate_fifo_batch(np.array([0.02]), np.array([10.0]))
+        for q in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError):
+                est.quantile_s(q)
+            with pytest.raises(ValueError):
+                batch.quantile_s(q)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Discrete-event simulator: correctness against a reference implementation
 and queueing-theory sanity properties."""
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +67,27 @@ def reference_simulation(arrivals, service_means):
     return start, finish, assigned
 
 
+def pop_push_simulation(arrivals, service_means):
+    """The simulator's heap loop written as a pop followed by a push.
+
+    Deterministic service times, so each finish is ``start + service``
+    exactly as the simulator computes it with unit jitter.
+    """
+    n = len(arrivals)
+    start = np.empty(n)
+    finish = np.empty(n)
+    assigned = np.empty(n, dtype=np.int64)
+    free_heap = [(0.0, i) for i in range(len(service_means))]
+    heapq.heapify(free_heap)
+    for k, t in enumerate(arrivals.tolist()):
+        free_t, i = heapq.heappop(free_heap)
+        s = t if t > free_t else free_t
+        f = s + float(service_means[i]) * 1.0
+        start[k], finish[k], assigned[k] = s, f, i
+        heapq.heappush(free_heap, (f, i))
+    return start, finish, assigned
+
+
 class TestAgainstReference:
     @given(
         seed=st.integers(0, 10_000),
@@ -82,6 +105,26 @@ class TestAgainstReference:
         # between instances with identical free times).
         np.testing.assert_allclose(np.sort(batch.start_s), np.sort(ref_start))
         np.testing.assert_allclose(np.sort(batch.finish_s), np.sort(ref_finish))
+
+    @given(
+        m=st.integers(1, 6),
+        bursts=st.lists(st.integers(1, 12), min_size=1, max_size=20),
+        gap_steps=st.integers(0, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ties_match_pop_push_bit_for_bit(self, m, bursts, gap_steps):
+        """Identical instances and bursts of simultaneous arrivals make
+        free-time ties everywhere; dispatch, start and finish must equal
+        the pop+push loop exactly."""
+        service = np.full(m, 0.25)  # dyadic: sums stay exact, ties stay ties
+        arrivals = np.repeat(
+            np.arange(len(bursts)) * 0.125 * gap_steps, bursts
+        )
+        batch = simulate_fifo(arrivals, service, jitter_cv=0.0, rng=0)
+        start, finish, assigned = pop_push_simulation(arrivals, service)
+        assert np.array_equal(batch.start_s, start)
+        assert np.array_equal(batch.finish_s, finish)
+        assert np.array_equal(batch.instance_index, assigned)
 
 
 class TestInvariants:

@@ -1,0 +1,147 @@
+"""The closed-form p95 solver against the bisection it replaced.
+
+Both ``QueueEstimate.quantile_s`` and ``BatchQueueEstimate.quantile_s``
+invert the response-time mixture CDF in closed form.  The oracle here is
+the estimator's former solver, kept verbatim: an 80-step bisection over
+the public ``latency_cdf``, which converges to the smallest float whose
+CDF reaches ``q``.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.serving.analytic import (
+    BatchQueueEstimate,
+    QueueEstimate,
+    estimate_fifo,
+    estimate_fifo_batch,
+)
+
+RTOL = 1e-12
+QUANTILES = (0.5, 0.9, 0.95, 0.99)
+
+
+def bisect_quantile_s(est: QueueEstimate, q: float) -> float:
+    """The ``q``-quantile by bisection on the (monotone) latency CDF."""
+    if est.overloaded:
+        return float("inf")
+    lo = 0.0
+    hi = float(est.service_s.max()) + est.mean_wait_s
+    # Expand until the CDF brackets q (the exponential tail is unbounded).
+    while est.latency_cdf(hi) < q:
+        hi *= 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if est.latency_cdf(mid) < q:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def batch_row(batch: BatchQueueEstimate, i: int, m: int) -> QueueEstimate:
+    """Row ``i`` of a batch estimate, cut to its first ``m`` instances."""
+    return QueueEstimate(
+        rate_per_s=float(batch.rates_per_s[i]),
+        utilization=float(batch.utilization[i]),
+        overloaded=bool(batch.overloaded[i]),
+        p_wait=float(batch.p_wait[i]),
+        mean_wait_s=float(batch.mean_wait_s[i]),
+        mean_service_s=float(batch.mean_service_s[i]),
+        shares=batch.shares[i, :m],
+        service_s=batch.service_s[i, :m],
+    )
+
+
+service_time = st.floats(min_value=0.001, max_value=0.2)
+
+
+@st.composite
+def service_rows(draw, max_size=30):
+    """Heterogeneous, tied (a few distinct values) or homogeneous rows."""
+    kind = draw(st.sampled_from(("heterogeneous", "tied", "homogeneous")))
+    if kind == "heterogeneous":
+        return draw(st.lists(service_time, min_size=1, max_size=max_size))
+    if kind == "homogeneous":
+        return [draw(service_time)] * draw(st.integers(1, max_size))
+    pool = draw(st.lists(service_time, min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_size))
+
+
+loads = st.floats(min_value=0.01, max_value=0.97)
+quantiles = st.sampled_from(QUANTILES)
+
+
+def at_load(service, load: float) -> QueueEstimate:
+    return estimate_fifo(np.asarray(service), load * sum(1.0 / s for s in service))
+
+
+class TestAgainstBisection:
+    @given(service_rows(), loads, quantiles)
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_matches_bisection(self, service, load, q):
+        est = at_load(service, load)
+        expected = bisect_quantile_s(est, q)
+        assert est.quantile_s(q) == pytest.approx(expected, rel=RTOL, abs=0.0)
+
+    @given(service_rows(), loads, quantiles)
+    @settings(max_examples=60, deadline=None)
+    def test_zero_wait_rows_land_on_an_atom(self, service, load, q):
+        est = replace(at_load(service, load), p_wait=0.0, mean_wait_s=0.0)
+        got = est.quantile_s(q)
+        assert got in est.service_s
+        assert got == bisect_quantile_s(est, q)
+
+    def test_erlang_underflow_gives_zero_wait(self):
+        # Sixty idle servers: the Erlang-B recursion underflows to zero.
+        est = estimate_fifo(np.linspace(0.01, 0.05, 60), 1e-4)
+        assert est.p_wait == 0.0
+        for q in QUANTILES:
+            assert est.quantile_s(q) == bisect_quantile_s(est, q)
+
+    @given(
+        st.lists(service_rows(max_size=12), min_size=1, max_size=8),
+        loads,
+        quantiles,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_padded_ragged_batch_rows_match_bisection(self, rows, load, q):
+        width = max(len(r) for r in rows)
+        service = np.zeros((len(rows), width))
+        valid = np.zeros((len(rows), width), dtype=bool)
+        for i, row in enumerate(rows):
+            service[i, : len(row)] = row
+            valid[i, : len(row)] = True
+        rates = np.array([load * sum(1.0 / s for s in row) for row in rows])
+        batch = estimate_fifo_batch(service, rates, valid=valid)
+        got = batch.quantile_s(q)
+        for i, row in enumerate(rows):
+            expected = bisect_quantile_s(batch_row(batch, i, len(row)), q)
+            assert got[i] == pytest.approx(expected, rel=RTOL, abs=0.0)
+
+
+class TestOneSolver:
+    @given(service_rows(), loads, quantiles)
+    @settings(max_examples=60, deadline=None)
+    def test_one_row_batch_is_the_scalar_bit_for_bit(self, service, load, q):
+        est = at_load(service, load)
+        batch = BatchQueueEstimate(
+            rates_per_s=np.array([est.rate_per_s]),
+            utilization=np.array([est.utilization]),
+            overloaded=np.array([est.overloaded]),
+            p_wait=np.array([est.p_wait]),
+            mean_wait_s=np.array([est.mean_wait_s]),
+            mean_service_s=np.array([est.mean_service_s]),
+            shares=est.shares[None, :],
+            service_s=est.service_s[None, :],
+        )
+        assert batch.quantile_s(q)[0] == est.quantile_s(q)
+
+    def test_light_load_p95_is_the_slowest_service_time(self):
+        service = np.array([0.004, 0.011, 0.02, 0.035])
+        est = estimate_fifo(service, 2.0)
+        assert est.quantile_s(0.95) == 0.035
+        assert est.quantile_s(0.95) == bisect_quantile_s(est, 0.95)
