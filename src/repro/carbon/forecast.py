@@ -19,7 +19,8 @@ multi-hour horizons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +64,13 @@ class DiurnalForecaster:
     (persistence-like); at long horizons the prediction relaxes to the
     historical mean profile.
 
+    The climatology depends on the query time only through the *history
+    length* — how many trace samples lie at or before it — so the
+    forecaster keeps the last profile it built, keyed on that count.
+    Queries between two samples (every epoch of an hourly trace) reuse
+    it; a new sample rebuilds it.  The cache is per instance and left
+    out of equality and ``repr``.
+
     Parameters
     ----------
     trace:
@@ -70,10 +78,24 @@ class DiurnalForecaster:
         the query time are used — no lookahead).
     anomaly_halflife_h:
         How fast the current anomaly decays toward climatology.
+
+    >>> from repro.carbon.generator import CISO_MARCH, generate_trace
+    >>> forecaster = DiurnalForecaster(generate_trace(CISO_MARCH, days=3.0, rng=7))
+    >>> forecasts = forecaster.predict_many(30.0, [0.0, 6.0, 12.0])
+    >>> forecasts.shape
+    (3,)
+    >>> bool(abs(forecasts[0] - forecaster.trace.at(30.0)) < 1e-9)  # 0 h: now
+    True
+    >>> bool(forecasts[1] == forecaster.predict(30.0, 6.0))
+    True
     """
 
     trace: CarbonIntensityTrace
     anomaly_halflife_h: float = 6.0
+    #: ``(history length, read-only profile)`` of the last climatology built.
+    _profile_cache: tuple[int, np.ndarray] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if self.anomaly_halflife_h <= 0:
@@ -87,20 +109,27 @@ class DiurnalForecaster:
         Returns ``None`` when only a single sample precedes the query —
         the short-history case where :meth:`predict` falls back to
         persistence.  With *no* samples at all there is nothing to anchor
-        even persistence to, and the query is an error.
+        even persistence to, and the query is an error.  The trace's
+        times are strictly increasing, so the history is the prefix of
+        the first ``n`` samples; the returned profile is read-only.
         """
-        mask = self.trace.times_h <= t_h
-        if mask.sum() == 0:
+        n = int(np.searchsorted(self.trace.times_h, t_h, side="right"))
+        if n == 0:
             raise ValueError("no history at or before the query time")
-        if mask.sum() < 2:
+        if n < 2:
             return None
-        hours = self.trace.times_h[mask] % 24.0
-        values = self.trace.values[mask]
+        cached = self._profile_cache
+        if cached is not None and cached[0] == n:
+            return cached[1]
+        hours = self.trace.times_h[:n] % 24.0
+        values = self.trace.values[:n]
         profile = np.empty(24)
         overall = values.mean()
         for h in range(24):
             sel = (hours >= h) & (hours < h + 1)
             profile[h] = values[sel].mean() if sel.any() else overall
+        profile.setflags(write=False)
+        object.__setattr__(self, "_profile_cache", (n, profile))
         return profile
 
     def predict(self, t_h: float, horizon_h: float) -> float:
@@ -117,10 +146,11 @@ class DiurnalForecaster:
     def predict_many(self, t_h: float, horizons_h) -> np.ndarray:
         """Forecasts for several horizons sharing one climatology build.
 
-        The hour-of-day profile depends only on ``t_h``, so evaluating a
-        whole lookahead window (the fleet coordinator samples eight
-        offsets per epoch) costs one profile construction instead of one
-        per offset.
+        The hour-of-day profile depends only on ``t_h``'s history
+        length, so a whole lookahead window (the fleet coordinator's
+        batch planner samples every slot of its horizon per epoch) costs
+        at most one profile construction — none while the cached profile
+        still matches.
         """
         horizons = np.asarray(horizons_h, dtype=np.float64)
         if np.any(horizons < 0):
@@ -129,8 +159,10 @@ class DiurnalForecaster:
         now = float(self.trace.at(t_h))
         if profile is None:
             return np.full(horizons.shape, now)
-        hod_now = int(t_h % 24.0)
-        hod_targets = ((t_h + horizons) % 24.0).astype(int)
+        # ``x % 24.0`` rounds up to 24.0 for tiny negative ``x``; the
+        # trailing ``% 24`` maps that hour back to bin 0.
+        hod_now = int(t_h % 24.0) % 24
+        hod_targets = ((t_h + horizons) % 24.0).astype(int) % 24
         anomaly = now - profile[hod_now]
         decay = 0.5 ** (horizons / self.anomaly_halflife_h)
         return profile[hod_targets] + decay * anomaly
@@ -168,8 +200,9 @@ def forecast_mae(
     """Mean absolute forecast error over the trace at a fixed horizon.
 
     Evaluates ``forecaster.predict(t, horizon_h)`` against the trace's true
-    value at ``t + horizon_h`` for every ``t`` in the evaluation window.
-    ``start_h`` defaults to one day in (so climatology has history).
+    value at ``t + horizon_h`` for every ``t = start_h + k * step_h`` in
+    the evaluation window, both ends included.  ``start_h`` defaults to
+    one day in (so climatology has history).
     """
     if step_h <= 0:
         raise ValueError(f"step must be positive, got {step_h}")
@@ -177,11 +210,13 @@ def forecast_mae(
     end = trace.end_h - horizon_h
     if end <= start:
         raise ValueError("trace too short for the requested horizon/window")
+    # Index the points instead of accumulating ``t += step_h``: the running
+    # sum drifts and can drop the window's last point.
+    n_steps = math.floor((end - start) / step_h + 1e-9)
     errors = []
-    t = start
-    while t <= end:
+    for k in range(n_steps + 1):
+        t = start + k * step_h
         predicted = forecaster.predict(t, horizon_h)
         actual = float(trace.at(t + horizon_h))
         errors.append(abs(predicted - actual))
-        t += step_h
     return float(np.mean(errors))

@@ -11,6 +11,13 @@ weekend damping, burst events); a
 (origin, serving-region) pair and :func:`~repro.demand.matrix.assign_origin_traffic`
 maps each epoch's origin demand onto the router's regional totals.
 
+Every demand model implements one primitive,
+:meth:`~repro.demand.diurnal.DemandModel.rate_matrix`: the per-origin
+rates at many fleet times as one ``(n_times, n_origins)`` array.  The
+point reads (``rates``, ``rate``, ``total_rate``), the horizon read
+``total_rates`` and a workload's thinning ``rate_fn`` all derive from it,
+so the day curve is written once and every read agrees bit for bit.
+
 Quickstart::
 
     from repro.demand import DiurnalDemandModel, default_origins
@@ -20,6 +27,7 @@ Quickstart::
     )
     model.rates(t_h=20.0)       # per-origin req/s at hour 20 of the run
     model.total_rate(t_h=20.0)  # the fleet's global rate that epoch
+    model.total_rates([20.0, 20.5, 21.0])  # a planning horizon, one call
 
 The fleet coordinator accepts a demand model directly; see
 :meth:`repro.fleet.FleetCoordinator.create`.

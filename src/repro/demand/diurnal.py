@@ -17,6 +17,7 @@ the fleet tests), which is the regression anchor for the whole subsystem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,21 +56,16 @@ class BurstEvent:
         if self.magnitude <= 0:
             raise ValueError(f"burst magnitude must be positive, got {self.magnitude}")
 
-    def factor(self, origin_name: str, t_h: float) -> float:
-        if self.origin is not None and self.origin != origin_name:
-            return 1.0
-        if self.start_h <= t_h < self.start_h + self.duration_h:
-            return self.magnitude
-        return 1.0
-
 
 class DemandModel:
     """Per-origin arrival rates over time; see the module docstring.
 
-    Subclasses implement :meth:`rates`; everything else derives from it.
+    Subclasses implement :meth:`rate_matrix`; everything else derives from
+    it, so each model states its day curve exactly once.
     """
 
     origins: tuple[GeoOrigin, ...]
+    mean_total_rate_per_s: float
 
     @property
     def n_origins(self) -> int:
@@ -79,9 +75,24 @@ class DemandModel:
     def origin_names(self) -> tuple[str, ...]:
         return tuple(o.name for o in self.origins)
 
+    @cached_property
+    def _origin_means(self) -> np.ndarray:
+        """``mean_total_rate_per_s`` times the normalized weights, per
+        origin — the scale every day curve multiplies (computed once)."""
+        means = self.mean_total_rate_per_s * normalized_weights(self.origins)
+        means.setflags(write=False)
+        return means
+
+    def rate_matrix(self, times_h) -> np.ndarray:
+        """Per-origin arrival rates (req/s) at each fleet time in ``times_h``.
+
+        Returns a fresh ``(n_times, n_origins)`` array: one row per time.
+        """
+        raise NotImplementedError
+
     def rates(self, t_h: float) -> np.ndarray:
         """Per-origin arrival rates (req/s) at fleet time ``t_h``."""
-        raise NotImplementedError
+        return self.rate_matrix([t_h])[0]
 
     def rate(self, origin: str, t_h: float) -> float:
         """One origin's arrival rate (req/s) at fleet time ``t_h``."""
@@ -95,6 +106,19 @@ class DemandModel:
     def total_rate(self, t_h: float) -> float:
         """Global arrival rate (req/s) at fleet time ``t_h``."""
         return float(self.rates(t_h).sum())
+
+    def total_rates(self, times_h) -> np.ndarray:
+        """Global arrival rate (req/s) at each fleet time in ``times_h``.
+
+        One :meth:`rate_matrix` call for the whole horizon, equal bit for
+        bit to :meth:`total_rate` at each time:
+
+        >>> model = default_demand(30.0)
+        >>> times = [0.0, 6.0, 12.0]
+        >>> model.total_rates(times).tolist() == [model.total_rate(t) for t in times]
+        True
+        """
+        return self.rate_matrix(times_h).sum(axis=1)
 
     def peak_total_rate(self) -> float:
         """An upper bound on :meth:`total_rate` (thinning envelopes)."""
@@ -116,8 +140,9 @@ class ConstantDemandModel(DemandModel):
     def __post_init__(self) -> None:
         _validate(self.origins, self.mean_total_rate_per_s)
 
-    def rates(self, t_h: float) -> np.ndarray:
-        return self.mean_total_rate_per_s * normalized_weights(self.origins)
+    def rate_matrix(self, times_h) -> np.ndarray:
+        n_times = np.asarray(times_h, dtype=np.float64).size
+        return np.full((n_times, self.n_origins), self._origin_means)
 
     def peak_total_rate(self) -> float:
         return self.mean_total_rate_per_s
@@ -167,23 +192,32 @@ class DiurnalDemandModel(DemandModel):
                 f"weekend damping must be in [0, 1), got {self.weekend_damping}"
             )
 
-    def _shape(self, origin: GeoOrigin, t_h: float) -> float:
-        local = origin.local_hour(t_h)
+    def rate_matrix(self, times_h) -> np.ndarray:
+        t = np.asarray(times_h, dtype=np.float64).reshape(-1, 1)
+        unwrapped = t + self._utc_offsets  # local hours since the run start
         shape = 1.0 + self.day_night_swing * np.cos(
-            2.0 * np.pi * (local - self.peak_local_h) / 24.0
+            2.0 * np.pi * (unwrapped % 24.0 - self.peak_local_h) / 24.0
         )
         # The weekend is a *local* calendar fact: day index in local time.
-        local_day = int(np.floor((t_h + origin.utc_offset_h) / 24.0)) % 7
-        if local_day in WEEKEND_DAYS:
-            shape *= 1.0 - self.weekend_damping
+        local_day = np.floor(unwrapped / 24.0).astype(np.intp) % 7
+        shape = shape * self._day_factors[local_day]
         for burst in self.bursts:
-            shape *= burst.factor(origin.name, t_h)
-        return float(shape)
+            active = (burst.start_h <= t) & (t < burst.start_h + burst.duration_h)
+            if burst.origin is not None:
+                active = active & (np.array(self.origin_names) == burst.origin)
+            shape = np.where(active, shape * burst.magnitude, shape)
+        return self._origin_means * shape
 
-    def rates(self, t_h: float) -> np.ndarray:
-        weights = normalized_weights(self.origins)
-        shapes = np.array([self._shape(o, t_h) for o in self.origins])
-        return self.mean_total_rate_per_s * weights * shapes
+    @cached_property
+    def _utc_offsets(self) -> np.ndarray:
+        return np.array([o.utc_offset_h for o in self.origins])
+
+    @cached_property
+    def _day_factors(self) -> np.ndarray:
+        """Shape multiplier per local day of the week: exactly 1.0 on
+        weekdays, so a weekday shape passes through bit for bit."""
+        damped = 1.0 - self.weekend_damping
+        return np.array([damped if d in WEEKEND_DAYS else 1.0 for d in range(7)])
 
     def peak_total_rate(self) -> float:
         """Upper bound: every origin at peak simultaneously, bursts stacked."""
@@ -203,10 +237,9 @@ class DiurnalDemandModel(DemandModel):
         sampler's window time (seconds from the window start) is mapped to
         fleet time as ``start_h + t_s / 3600`` — pass the window's fleet
         start hour or a mid-run window would be silently phase-shifted to
-        midnight.  The closure binds the origin's precomputed weight share
-        and evaluates only that origin's shape: the rate function runs
-        once per thinning candidate, so a full ``rates()`` sweep per call
-        would dominate the sampling cost.
+        midnight.  The rate function reads the origin's column of a
+        one-row :meth:`rate_matrix`, so it is the fleet's own day curve,
+        bit for bit.
 
         The bursts' edges and centers are declared as the workload's
         *critical times*, so the thinning-envelope check samples them
@@ -216,9 +249,7 @@ class DiurnalDemandModel(DemandModel):
         from repro.serving.workload import NonstationaryPoissonWorkload
 
         idx = self.origin_names.index(origin)
-        origin_obj = self.origins[idx]
         share = float(normalized_weights(self.origins)[idx])
-        mean = self.mean_total_rate_per_s * share
         critical: list[float] = []
         for b in self.bursts:
             if b.origin is not None and b.origin != origin:
@@ -227,8 +258,9 @@ class DiurnalDemandModel(DemandModel):
                        b.start_h + b.duration_h)
             critical.extend((h - start_h) * 3600.0 for h in edges_h)
         return NonstationaryPoissonWorkload(
-            rate_fn=lambda t_s: mean
-            * self._shape(origin_obj, start_h + t_s / 3600.0),
+            rate_fn=lambda t_s: float(
+                self.rate_matrix([start_h + t_s / 3600.0])[0, idx]
+            ),
             max_rate_per_s=share * self.peak_total_rate(),
             critical_times_s=tuple(critical),
         )

@@ -1279,9 +1279,7 @@ class FleetCoordinator:
             if self.demand is None:
                 future_rates = np.full(offsets.size, interactive)
             else:
-                future_rates = np.array(
-                    [self.demand.total_rate(t_h + off) for off in offsets]
-                )
+                future_rates = self.demand.total_rates(t_h + offsets)
             estimated = np.maximum(0.0, total_cap - future_rates) * self.step_s
             # The physical envelope overstates what admission will see
             # (SLA caps, gated pools); scale future estimates by the

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.serving.requests import RequestBatch
-from repro.utils.stats import exact_percentile
+from repro.utils.stats import exact_percentiles
 
 __all__ = ["LatencySummary", "ServingMetrics", "summarize", "DEFAULT_WARMUP_FRACTION"]
 
@@ -23,7 +23,20 @@ DEFAULT_WARMUP_FRACTION = 0.1
 
 @dataclass(frozen=True)
 class LatencySummary:
-    """End-to-end latency percentiles of a measured batch, in milliseconds."""
+    """End-to-end latency percentiles of a measured batch, in milliseconds.
+
+    The percentiles are inverted-CDF order statistics, so p50, p95, p99
+    and the maximum (p100) all come out of one partition of the batch:
+
+    >>> from repro.serving.requests import RequestBatch
+    >>> finish_s = np.array([2.0, 0.5, 1.5, 1.0])
+    >>> batch = RequestBatch(
+    ...     arrival_s=np.zeros(4), start_s=np.zeros(4), finish_s=finish_s,
+    ...     instance_index=np.zeros(4, dtype=np.int64))
+    >>> summary = LatencySummary.from_batch(batch)
+    >>> summary.p50_ms, summary.p95_ms, summary.max_ms
+    (1000.0, 2000.0, 2000.0)
+    """
 
     count: int
     mean_ms: float
@@ -37,13 +50,14 @@ class LatencySummary:
         lat = batch.latency_ms
         if lat.size == 0:
             raise ValueError("cannot summarize an empty request batch")
+        p50, p95, p99, p100 = exact_percentiles(lat, (50.0, 95.0, 99.0, 100.0))
         return cls(
             count=int(lat.size),
             mean_ms=float(lat.mean()),
-            p50_ms=exact_percentile(lat, 50.0),
-            p95_ms=exact_percentile(lat, 95.0),
-            p99_ms=exact_percentile(lat, 99.0),
-            max_ms=float(lat.max()),
+            p50_ms=float(p50),
+            p95_ms=float(p95),
+            p99_ms=float(p99),
+            max_ms=float(p100),
         )
 
 

@@ -19,10 +19,14 @@ condition; property-tested).  A lot whose deadline falls inside the
 current epoch is *deadline-forced*: it is placed into slot 0 regardless
 of how dirty the grid looks, up to whatever leftover capacity exists.
 
-:func:`plan_batch_slots` is the vectorized hot loop (one cumulative-sum
-water-fill per lot); :func:`_plan_batch_slots_scalar` keeps the explicit
-per-slot loop as the semantic reference for the equivalence property
-tests, mirroring the routing layer's ``_water_fill`` convention.
+:func:`plan_batch_slots` is the vectorized hot loop.  It permutes the
+slot capacities into score-rank order once, water-fills each lot with one
+cumulative sum over that rank-ordered vector (slots past the lot's
+deadline offer zero room), and scatters the allocation back to slot
+order once at the end — no per-lot gather or scatter.
+:func:`_plan_batch_slots_scalar` keeps the explicit per-slot loop as the
+semantic reference for the equivalence property tests, mirroring the
+routing layer's ``_water_fill`` convention.
 """
 
 from __future__ import annotations
@@ -69,6 +73,15 @@ def plan_batch_slots(
     fall short of ``requests`` only when the lot's eligible slots lack
     capacity — the caller keeps the remainder queued.
 
+    Preemptible lots are planned in *rank space*: column ``j`` of the
+    working matrix is the ``j``-th cleanest slot.  Each lot (earliest
+    deadline first) sees ``room = where(slot_rank <= last, caps, 0)``,
+    takes ``min(max(need - prior, 0), room)`` with ``prior`` the room of
+    cleaner slots, and the columns are scattered back to slot order
+    once.  Zero room past the deadline adds ``+0.0`` inside the
+    sequential cumsum, so every take equals the water-fill over the
+    gathered eligible slots bit for bit.
+
     >>> alloc = plan_batch_slots(
     ...     np.array([10.0]), np.array([2]),
     ...     slot_caps=np.array([20.0, 20.0, 20.0]),
@@ -94,30 +107,36 @@ def plan_batch_slots(
     # EDF over lots: nested deadline windows mean earlier-due lots see a
     # subset of later lots' slots, so serving them first never strands
     # capacity a later lot could not also have used.
-    for li in np.argsort(deadline_slots, kind="stable"):
+    edf = np.argsort(deadline_slots, kind="stable")
+    if preemptible:
+        # Rank space (see above): column j is the j-th cleanest slot.
+        rcaps = caps[slot_rank]
+        ralloc = np.zeros((n_lots, n_slots), dtype=np.float64)
+        for li in edf:
+            need = float(requests[li])
+            if need <= 0.0:
+                continue
+            last = max(0, min(int(deadline_slots[li]), n_slots - 1))
+            room = np.where(slot_rank <= last, rcaps, 0.0)
+            prior = np.cumsum(room) - room
+            take = np.minimum(np.maximum(need - prior, 0.0), room)
+            ralloc[li] = take
+            rcaps -= take
+        alloc[:, slot_rank] = ralloc
+        return alloc
+    for li in edf:
         need = float(requests[li])
         if need <= 0.0:
             continue
         last = max(0, min(int(deadline_slots[li]), n_slots - 1))
         eligible = slot_rank[slot_rank <= last]
-        if preemptible:
-            room = caps[eligible]
-            prior = np.cumsum(room) - room
-            take = np.clip(need - prior, 0.0, room)
-            alloc[li, eligible] = take
-            caps[eligible] -= take
-        else:
-            fits = eligible[caps[eligible] >= need - 1e-12]
-            # Fallback ties break toward the earliest slot (the eligible
-            # set is exactly 0..last), matching the scalar reference.
-            slot = (
-                int(fits[0])
-                if fits.size
-                else int(np.argmax(caps[: last + 1]))
-            )
-            take = min(need, float(caps[slot]))
-            alloc[li, slot] = take
-            caps[slot] -= take
+        fits = eligible[caps[eligible] >= need - 1e-12]
+        # Fallback ties break toward the earliest slot (the eligible set
+        # is exactly 0..last), matching the scalar reference.
+        slot = int(fits[0]) if fits.size else int(np.argmax(caps[: last + 1]))
+        take = min(need, float(caps[slot]))
+        alloc[li, slot] = take
+        caps[slot] -= take
     return alloc
 
 

@@ -1,7 +1,7 @@
 """Shared utilities: seeded RNG plumbing and statistics helpers."""
 
 from repro.utils.rng import RngMixer, as_generator, spawn_child, stable_hash
-from repro.utils.stats import exact_percentile, weighted_mean
+from repro.utils.stats import exact_percentile, exact_percentiles, weighted_mean
 
 __all__ = [
     "RngMixer",
@@ -9,5 +9,6 @@ __all__ = [
     "spawn_child",
     "stable_hash",
     "exact_percentile",
+    "exact_percentiles",
     "weighted_mean",
 ]

@@ -124,3 +124,25 @@ class TestForecastMae:
         f = PersistenceForecaster(solar_trace)
         with pytest.raises(ValueError):
             forecast_mae(f, solar_trace, 1.0, step_h=0.0)
+
+    def test_evaluates_every_point_of_a_fractional_grid(self):
+        """The grid is ``start + k * step``, both ends included: an
+        accumulated ``t += step`` drifts past the window's last point."""
+
+        class Recording:
+            def __init__(self):
+                self.times = []
+
+            def predict(self, t_h, horizon_h):
+                self.times.append(t_h)
+                return 100.0
+
+        trace = CarbonIntensityTrace(
+            times_h=np.arange(0.0, 49.0), values=np.full(49, 100.0)
+        )
+        for end_h, step_h, expected in ((48.0, 0.1, 241), (47.0, 1.0 / 3.0, 70)):
+            rec = Recording()
+            forecast_mae(rec, trace.window(0.0, end_h), 0.0, step_h=step_h)
+            assert len(rec.times) == expected
+            assert rec.times[0] == 24.0
+            assert rec.times[-1] == pytest.approx(end_h)

@@ -21,6 +21,19 @@ class TestLatencySummary:
         assert s.p50_ms <= s.p95_ms <= s.p99_ms <= s.max_ms
         assert s.count == len(b)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 5000])
+    def test_one_partition_equals_separate_passes(self, n):
+        """p50/p95/p99/max come from one partition; each must equal the
+        separate ``np.percentile`` passes and ``max`` bit for bit."""
+        b = run_batch(n=n, seed=n)
+        lat = b.latency_ms
+        s = LatencySummary.from_batch(b)
+        assert s.count == lat.size
+        assert s.mean_ms == float(lat.mean())
+        for got, q in ((s.p50_ms, 50.0), (s.p95_ms, 95.0), (s.p99_ms, 99.0)):
+            assert got == float(np.percentile(lat, q, method="inverted_cdf"))
+        assert s.max_ms == float(lat.max())
+
     def test_empty_batch_raises(self):
         empty = RequestBatch(
             arrival_s=np.zeros(0), start_s=np.zeros(0),

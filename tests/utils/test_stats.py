@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.stats import exact_percentile, weighted_mean
+from repro.utils.stats import exact_percentile, exact_percentiles, weighted_mean
 
 
 class TestExactPercentile:
@@ -40,6 +40,46 @@ class TestExactPercentile:
     )
     def test_percentile_is_always_a_sample(self, values, q):
         assert exact_percentile(values, q) in np.asarray(values)
+
+
+class TestExactPercentiles:
+    QS = (0.0, 50.0, 95.0, 99.0, 100.0)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_equals_numpy_inverted_cdf_bit_for_bit(self, ties):
+        rng = np.random.default_rng(17)
+        for n in range(1, 2001):
+            values = rng.exponential(20.0, n)
+            if ties:
+                values = values.round(0)  # repeated order statistics
+            got = exact_percentiles(values, self.QS)
+            ref = np.percentile(values, self.QS, method="inverted_cdf")
+            np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_scalar_form_agrees(self):
+        values = np.random.default_rng(3).exponential(5.0, 777)
+        for q, p in zip(self.QS, exact_percentiles(values, self.QS)):
+            assert exact_percentile(values, q) == p
+
+    def test_nan_propagates_like_numpy(self):
+        values = [3.0, float("nan"), 1.0, 2.0]
+        got = exact_percentiles(values, self.QS)
+        ref = np.percentile(values, self.QS, method="inverted_cdf")
+        assert np.isnan(got).all() and np.isnan(ref).all()
+
+    def test_input_is_not_reordered(self):
+        values = np.array([3.0, 1.0, 2.0])
+        exact_percentiles(values, [50.0])
+        np.testing.assert_array_equal(values, [3.0, 1.0, 2.0])
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError, match="zero samples"):
+            exact_percentiles([], [50.0, 95.0])
+
+    @pytest.mark.parametrize("qs", [[-1.0], [50.0, 101.0], [float("nan")]])
+    def test_out_of_range_quantile_raises(self, qs):
+        with pytest.raises(ValueError):
+            exact_percentiles([1.0, 2.0], qs)
 
 
 class TestWeightedMean:
