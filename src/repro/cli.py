@@ -22,14 +22,11 @@ Subcommands
     Run every experiment and write one Markdown reproduction report.
 ``demo``
     A short end-to-end Clover run with a summary report.
-``bench``
-    Run the pinned perf scenarios and check them against a baseline.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -143,33 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--scheme", default="clover")
     demo.add_argument("--hours", type=float, default=12.0)
     demo.add_argument("--seed", type=int, default=0)
-
-    bench = sub.add_parser(
-        "bench", help="run the pinned perf scenarios / check the baseline"
-    )
-    bench.add_argument(
-        "--fidelity", default="default", choices=("smoke", "default")
-    )
-    bench.add_argument(
-        "--out",
-        default=None,
-        help="write the suite result as a baseline JSON (BENCH_perf_core "
-        "schema) to this path",
-    )
-    bench.add_argument(
-        "--check",
-        default=None,
-        metavar="BASELINE",
-        help="compare against a committed baseline JSON and exit 1 on any "
-        "regression beyond --tolerance",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="allowed fractional ops/s or speedup drop for --check "
-        "(default: 0.30)",
-    )
     return parser
 
 
@@ -475,54 +445,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf import (
-        DEFAULT_TOLERANCE,
-        check_regressions,
-        load_baseline,
-        run_suite,
-        write_baseline,
-    )
-
-    baseline = None
-    if args.check:
-        try:
-            baseline = load_baseline(args.check)
-        except OSError:
-            print(f"no such perf baseline: {args.check}", file=sys.stderr)
-            return 2
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(
-                f"invalid perf baseline {args.check}: {exc}", file=sys.stderr
-            )
-            return 2
-    suite = run_suite(args.fidelity)
-    print(f"perf suite ({suite.fidelity} fidelity, calibration "
-          f"{suite.calibration_ops_per_s:,.1f} kernel-ops/s)")
-    header = f"  {'scenario':<16} {'ops/s':>12} {'vs scalar':>10}"
-    print(header)
-    print("  " + "-" * (len(header) - 2))
-    for s in suite.scenarios:
-        print(f"  {s.name:<16} {s.ops_per_s:>12,.1f} "
-              f"{s.speedup_vs_scalar:>9.2f}x")
-    if args.out:
-        path = write_baseline(suite, args.out)
-        print(f"wrote baseline to {path}")
-    if baseline is not None:
-        tolerance = (
-            DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-        )
-        failures = check_regressions(suite, baseline, tolerance)
-        if failures:
-            print(f"perf regressions vs {args.check}:")
-            for failure in failures:
-                print(f"  {failure}")
-            return 1
-        print(f"no regression vs {args.check} "
-              f"(tolerance {100 * tolerance:.0f}%)")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
@@ -537,8 +459,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_report(args)
     if args.command == "demo":
         return _cmd_demo(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

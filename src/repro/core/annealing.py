@@ -53,15 +53,7 @@ _IMPROVEMENT_EPS = 1e-9
 
 @dataclass(frozen=True)
 class SAParams:
-    """The paper's annealing schedule and termination rule.
-
-    ``neighborhood`` widens each SA step to a batch: ``k`` neighbours are
-    proposed around the centre, batch-evaluated in one call through the
-    vectorized estimator, and the lowest-energy one faces the Metropolis
-    test.  The default of 1 runs the paper's verbatim single-proposal
-    chain (bit-for-bit the seed trajectory — proposal and acceptance
-    draws interleave differently for any ``k > 1``).
-    """
+    """The paper's annealing schedule and termination rule."""
 
     t_initial: float = 1.0
     cooling: float = 0.05
@@ -69,7 +61,6 @@ class SAParams:
     no_improve_limit: int = 5
     time_budget_s: float = 300.0
     max_evals: int = 500
-    neighborhood: int = 1
 
     def __post_init__(self) -> None:
         if self.t_initial <= 0 or self.t_min <= 0 or self.t_min > self.t_initial:
@@ -84,10 +75,6 @@ class SAParams:
             )
         if self.time_budget_s <= 0 or self.max_evals < 1:
             raise ValueError("time budget and max_evals must be positive")
-        if self.neighborhood < 1:
-            raise ValueError(
-                f"neighborhood must be >= 1, got {self.neighborhood}"
-            )
 
     def temperature(self, iteration: int) -> float:
         """Annealing temperature at a 0-based iteration index."""
@@ -215,22 +202,6 @@ class _Tracker:
     def evaluate(self, config: ClusterConfig) -> EvaluatedCandidate:
         """Deploy + measure one candidate, charging virtual time."""
         ev = self.evaluator.evaluate(config)
-        return self._record(config, ev)
-
-    def evaluate_many(
-        self, configs: list[ClusterConfig]
-    ) -> list[EvaluatedCandidate]:
-        """Deploy + measure a neighbourhood in one batched estimator call.
-
-        Virtual-time accounting is sequential, exactly as if the
-        candidates had been measured one after another on live traffic.
-        """
-        evs = self.evaluator.evaluate_batch(configs)
-        return [self._record(c, ev) for c, ev in zip(configs, evs)]
-
-    def _record(
-        self, config: ClusterConfig, ev: Evaluation
-    ) -> EvaluatedCandidate:
         prev = self.evaluated[-1].config if self.evaluated else self.deployed
         ged = (
             self.graph(prev).ged(self.graph(config)) if prev is not None else 0
@@ -306,34 +277,13 @@ def simulated_annealing(
         if len(tracker.evaluated) >= params.max_evals:
             termination = "max_evals"
             break
-        if params.neighborhood == 1:
-            # The paper's verbatim chain: one proposal, one acceptance
-            # draw per step, in the seed's exact RNG order.
-            neighbor = moves.propose(center.config, gen)
-            if neighbor is None:
-                termination = "no_neighbors"
-                break
-            temperature = params.temperature(iteration)
-            iteration += 1
-            cand = tracker.evaluate(neighbor)
-        else:
-            k = min(
-                params.neighborhood,
-                params.max_evals - len(tracker.evaluated),
-            )
-            neighbors = []
-            for _ in range(k):
-                neighbor = moves.propose(center.config, gen)
-                if neighbor is None:
-                    break
-                neighbors.append(neighbor)
-            if not neighbors:
-                termination = "no_neighbors"
-                break
-            temperature = params.temperature(iteration)
-            iteration += 1
-            cands = tracker.evaluate_many(neighbors)
-            cand = min(cands, key=lambda c: c.sa_energy)
+        neighbor = moves.propose(center.config, gen)
+        if neighbor is None:
+            termination = "no_neighbors"
+            break
+        temperature = params.temperature(iteration)
+        iteration += 1
+        cand = tracker.evaluate(neighbor)
         p = objective.acceptance_probability(
             center.sa_energy, cand.sa_energy, temperature
         )

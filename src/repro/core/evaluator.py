@@ -76,11 +76,11 @@ __all__ = ["Evaluation", "CacheStats", "ConfigEvaluator"]
 class CacheStats:
     """Hit/miss counters of one evaluator's configuration cache.
 
-    ``batched`` counts the evaluations *computed* through the vectorized
-    batch paths (:meth:`ConfigEvaluator.evaluate_batch` /
-    :meth:`~ConfigEvaluator.evaluate_rates`) — a subset of ``misses``, so
-    it surfaces how much of the cache-filling work ran at array speed
-    rather than one scalar estimate at a time.
+    ``batched`` counts the evaluations *computed* by
+    :meth:`ConfigEvaluator.evaluate_rates`, which estimates a rate grid in
+    one vectorized pass — a subset of ``misses``, so it surfaces how much
+    of the cache-filling work ran at array speed rather than one scalar
+    estimate at a time.
     """
 
     hits: int
@@ -270,59 +270,12 @@ class ConfigEvaluator:
     def evaluate_batch(
         self, configs, rate_per_s: float | None = None
     ) -> list[Evaluation]:
-        """Evaluate a whole candidate set at one rate in one vectorized pass.
+        """Evaluate each configuration at one rate: a loop of :meth:`evaluate`.
 
-        Cache-compatible with :meth:`evaluate`: every configuration is
-        keyed and looked up exactly as the scalar path keys it (hits and
-        misses counted identically, duplicates within the batch counting
-        as hits after their first occurrence), and the misses are computed
-        through :func:`~repro.serving.analytic.estimate_fifo_batch` in
-        groups of equal instance count — results land in the shared cache
-        and agree with the scalar estimator to ~1e-12 relative.  DES
-        evaluators fall back to the scalar loop (their samples are
-        per-graph streams with nothing to batch).
+        Results and :attr:`cache_stats` are exactly the scalar loop's.
+        ``e2ebench/layers.py`` wraps this method as a layer boundary.
         """
-        configs = list(configs)
-        rate = self._resolve_rate(rate_per_s)
-        if self.method != "analytic":
-            return [self.evaluate(c, rate) for c in configs]
-        awake = self._effective_awake()
-        n_powered = self.n_gpus if awake is None else awake
-        results: list[Evaluation | None] = [None] * len(configs)
-        pending: dict[tuple, list[int]] = {}
-        graphs: dict[tuple, ConfigGraph] = {}
-        for i, config in enumerate(configs):
-            if config.family != self.family:
-                raise ValueError(
-                    f"evaluator serves {self.family!r}, got a "
-                    f"{config.family!r} config"
-                )
-            if config.n_gpus != self.n_gpus:
-                raise ValueError(
-                    f"evaluator sized for {self.n_gpus} GPUs, "
-                    f"got {config.n_gpus}"
-                )
-            trimmed = (
-                self._trim_to_awake(config, awake) if awake is not None else config
-            )
-            graph = ConfigGraph.from_config(trimmed, self._num_variants)
-            key = self._cache_key(graph, rate, awake)
-            hit = self._cache.get(key)
-            if hit is not None:
-                self._hits += 1
-                results[i] = hit
-            elif key in pending:
-                # A duplicate inside the batch: the first occurrence is
-                # the miss that computes it, exactly as a scalar loop
-                # would have counted.
-                self._hits += 1
-                pending[key].append(i)
-            else:
-                self._misses += 1
-                pending[key] = [i]
-                graphs[key] = graph
-        self._compute_pending(graphs, pending, results, rate, n_powered)
-        return results
+        return [self.evaluate(c, rate_per_s) for c in configs]
 
     def evaluate_rates(self, config: ClusterConfig, rates_per_s) -> list[Evaluation]:
         """Evaluate one configuration over a grid of rates in one pass.
@@ -380,62 +333,6 @@ class ConfigEvaluator:
                 for i in pending[key]:
                     results[i] = ev
         return results
-
-    def _compute_pending(
-        self,
-        graphs: dict[tuple, ConfigGraph],
-        pending: dict[tuple, list[int]],
-        results: list[Evaluation | None],
-        rate: float,
-        n_powered: int,
-    ) -> None:
-        """Batch-compute cache misses as one zero-padded group.
-
-        Ragged candidate sets are right-padded to the widest row and
-        masked, so every miss shares one estimator pass and one call of
-        the closed-form p95 solver instead of one group per distinct
-        instance count.
-        """
-        if not pending:  # every configuration was a cache hit
-            return
-        entries = []
-        for key, graph in graphs.items():
-            service, watts, acc, static_watts = self._graph_arrays(
-                graph, n_powered
-            )
-            entries.append((key, service, watts, acc, static_watts))
-        sizes = np.array([e[1].size for e in entries], dtype=np.intp)
-        m_max = int(sizes.max())
-        g = len(entries)
-        service = np.zeros((g, m_max))
-        watts = np.zeros((g, m_max))
-        acc = np.zeros((g, m_max))
-        valid = np.zeros((g, m_max), dtype=bool)
-        static = np.empty(g)
-        for i, (_, s, w, a, sw) in enumerate(entries):
-            k = s.size
-            service[i, :k] = s
-            watts[i, :k] = w
-            acc[i, :k] = a
-            valid[i, :k] = True
-            static[i] = sw
-        # Equal-width batches skip the mask entirely, keeping the
-        # arithmetic order identical to the unpadded formulas.
-        mask = None if bool(np.all(sizes == m_max)) else valid
-        evals = self._batch_analytic(
-            service,
-            watts,
-            acc,
-            static,
-            np.full(g, rate),
-            valid=mask,
-            counts=sizes,
-        )
-        self._batched += len(evals)
-        for (key, *_), ev in zip(entries, evals):
-            self._cache[key] = ev
-            for i in pending[key]:
-                results[i] = ev
 
     @property
     def pool_key(self) -> tuple[str, ...] | None:
@@ -519,7 +416,7 @@ class ConfigEvaluator:
 
     @property
     def cache_batched(self) -> int:
-        """Evaluations computed through the vectorized batch paths."""
+        """Evaluations computed through the vectorized rate-grid path."""
         return self._batched
 
     @property
@@ -730,28 +627,23 @@ class ConfigEvaluator:
 
     def _batch_analytic(
         self,
-        service,
-        watts,
-        acc,
-        static_watts,
+        service: np.ndarray,
+        watts: np.ndarray,
+        acc: np.ndarray,
+        static_watts: float,
         rates: np.ndarray,
-        valid: np.ndarray | None = None,
-        counts: np.ndarray | None = None,
     ) -> list[Evaluation]:
-        """Row-wise analytic evaluations via the batched estimator.
+        """One configuration's analytic evaluations over a rate grid.
 
-        ``service``/``watts``/``acc`` are ``(m,)`` (one configuration, a
-        rate grid) or ``(n, m)`` (a candidate group); ``static_watts``
-        broadcasts likewise.  Ragged groups arrive zero-padded with a
-        ``valid`` mask and per-row instance ``counts``.  Each row applies
-        :meth:`_evaluate_analytic`'s exact formulas — including the
+        ``service``/``watts``/``acc`` are the graph's ``(m,)`` instance
+        arrays and ``rates`` the ``(n,)`` grid, estimated in one
+        :func:`~repro.serving.analytic.estimate_fifo_batch` call.  Each row
+        applies :meth:`_evaluate_analytic`'s exact formulas — including the
         saturated branch's capacity-proportional shares — so rows agree
         with scalar evaluations to summation-order rounding.
         """
         rates = np.asarray(rates, dtype=np.float64)
-        est: BatchQueueEstimate = estimate_fifo_batch(
-            service, rates, self.jitter_cv, valid=valid
-        )
+        est: BatchQueueEstimate = estimate_fifo_batch(service, rates, self.jitter_cv)
         service2 = est.service_s
         watts2 = np.broadcast_to(np.asarray(watts, dtype=np.float64), service2.shape)
         acc2 = np.broadcast_to(np.asarray(acc, dtype=np.float64), service2.shape)
@@ -768,10 +660,7 @@ class ConfigEvaluator:
         acc_n = np.sum(est.shares * acc2, axis=1)
         energy_n = power_n / rates
 
-        if valid is None:
-            mu = 1.0 / service2
-        else:
-            mu = np.where(valid, 1.0 / np.where(valid, service2, 1.0), 0.0)
+        mu = 1.0 / service2
         capacity = mu.sum(axis=1)
         power_o = static + watts2.sum(axis=1)
         shares_o = mu / capacity[:, None]
@@ -780,7 +669,6 @@ class ConfigEvaluator:
 
         out = []
         for i in range(rates.size):
-            n_inst = m if counts is None else int(counts[i])
             if over[i]:
                 out.append(
                     Evaluation(
@@ -790,7 +678,7 @@ class ConfigEvaluator:
                         power_watts=float(power_o[i]),
                         utilization=float(est.utilization[i]),
                         overloaded=True,
-                        num_instances=n_inst,
+                        num_instances=m,
                     )
                 )
             else:
@@ -802,7 +690,7 @@ class ConfigEvaluator:
                         power_watts=float(power_n[i]),
                         utilization=float(est.utilization[i]),
                         overloaded=False,
-                        num_instances=n_inst,
+                        num_instances=m,
                     )
                 )
         return out

@@ -15,10 +15,6 @@ That representation delivers the two properties the paper claims:
   them observationally identical), and
 * **additivity** — adding GPUs to the cluster adds their edge weights;
   removing subtracts them (``__add__`` / ``__sub__`` below).
-
-NetworkX interop (:meth:`ConfigGraph.to_networkx`) is provided because the
-paper implements its graphs with NetworkX; the optimizer itself works on the
-weight matrices directly, which is orders of magnitude faster.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import networkx as nx
 import numpy as np
 
 from repro.gpu.slices import SLICE_TYPES
@@ -189,28 +184,6 @@ class ConfigGraph:
                 f"graph shapes differ: {self.weights.shape} vs "
                 f"{other.weights.shape}"
             )
-
-    # ------------------------------------------------------------------ #
-    # NetworkX interop
-    # ------------------------------------------------------------------ #
-
-    def to_networkx(self) -> nx.DiGraph:
-        """The directed bipartite graph of Definition 1, as a NetworkX graph.
-
-        Variant vertices are ``"V1" .. "Vk"``, slice vertices ``"1g" ..
-        "7g"``; only edges with positive weight are materialized.
-        """
-        g = nx.DiGraph()
-        for v in range(self.num_variants):
-            g.add_node(f"V{v + 1}", bipartite="variant")
-        for s in SLICE_TYPES:
-            g.add_node(s.name, bipartite="slice")
-        rows, cols = np.nonzero(self.weights)
-        for v, s in zip(rows, cols):
-            g.add_edge(
-                f"V{v + 1}", SLICE_TYPES[s].name, weight=int(self.weights[v, s])
-            )
-        return g
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         edges = [

@@ -308,8 +308,9 @@ def _water_fill(ctx: RoutingContext, order: np.ndarray) -> np.ndarray:
     The sequential fill is expressed as a prefix-sum over the ordered cap
     headrooms: region ``i`` in order takes
     ``clip(remaining - sum(room[:i]), 0, room[i])`` — property-tested
-    against :func:`_water_fill_scalar`, the loop it replaces (identical
-    up to float summation order; bit-for-bit on a single region).
+    against the one-region-at-a-time loop it replaced, kept as an oracle
+    in ``tests/fleet/test_routing_batch.py`` (identical up to float
+    summation order; bit-for-bit on a single region).
     """
     floors, caps = _ramp_envelope(ctx)
     rates = floors.copy()
@@ -323,26 +324,6 @@ def _water_fill(ctx: RoutingContext, order: np.ndarray) -> np.ndarray:
         remaining = max(0.0, remaining - float(filled[-1]))
     else:
         remaining = 0.0
-    if remaining > 0.0:
-        headroom = np.maximum(ctx.capacity_rates - rates, 0.0)
-        basis = headroom if headroom.sum() > 0 else ctx.nominal_rates
-        rates = rates + remaining * basis / basis.sum()
-    return rates
-
-
-def _water_fill_scalar(ctx: RoutingContext, order: np.ndarray) -> np.ndarray:
-    """The original one-region-at-a-time fill, kept as the reference
-    implementation for :func:`_water_fill`'s equivalence property tests."""
-    floors, caps = _ramp_envelope(ctx)
-    rates = floors.copy()
-    remaining = ctx.global_rate_per_s - float(rates.sum())
-    for idx in order:
-        if remaining <= 0.0:
-            break
-        room = max(0.0, float(caps[idx] - rates[idx]))
-        take = min(remaining, room)
-        rates[idx] += take
-        remaining -= take
     if remaining > 0.0:
         headroom = np.maximum(ctx.capacity_rates - rates, 0.0)
         basis = headroom if headroom.sum() > 0 else ctx.nominal_rates
@@ -765,110 +746,6 @@ def plan_origin_cells(
 
     # 4. Conservation spill: capacity headroom in latency order, then
     # proportional to nominal rates.
-    if supply.sum() > 1e-12:
-        for o in range(n_o):
-            for r in np.argsort(latency_ms[o], kind="stable"):
-                if supply[o] <= 0.0:
-                    break
-                room = ctx.capacity_rates[r] - totals[r]
-                if room > 0.0:
-                    place(o, int(r), room)
-    leftover = float(supply.sum())
-    if leftover > 1e-12:
-        basis = ctx.nominal_rates / ctx.nominal_rates.sum()
-        for o in range(n_o):
-            if supply[o] > 0.0:
-                amount = supply[o]
-                plan[o] += amount * basis
-                totals += amount * basis
-                supply[o] = 0.0
-    return plan
-
-
-def _plan_origin_cells_scalar(
-    ctx: RoutingContext,
-    order: np.ndarray,
-    origin_rates: np.ndarray,
-    latency_ms: np.ndarray,
-    user_targets_ms: np.ndarray,
-    sla_rate_fn,
-    measured_p95_ms: np.ndarray | None = None,
-    prev_plan: np.ndarray | None = None,
-    session_keep_frac: float = 0.0,
-    resident_floor_share: float = 0.0,
-) -> np.ndarray:
-    """The original cell-by-cell ``place()`` implementation of
-    :func:`plan_origin_cells`, kept verbatim as the reference for the
-    vectorized version's equivalence property tests."""
-    n_o, n_r = latency_ms.shape
-    supply = np.asarray(origin_rates, dtype=np.float64).copy()
-    plan = np.zeros((n_o, n_r))
-    totals = np.zeros(n_r)
-    caps = _ramp_up_caps(ctx, np.minimum(ctx.capacity_rates, ctx.sla_cap_rates))
-    budgets = np.full(n_r, np.inf)
-
-    def place(o: int, r: int, amount: float) -> float:
-        take = min(supply[o], amount)
-        if take <= 0.0:
-            return 0.0
-        plan[o, r] += take
-        supply[o] -= take
-        totals[r] += take
-        pair_budget = user_targets_ms[r] - latency_ms[o, r]
-        if pair_budget > 0.0:
-            budgets[r] = min(budgets[r], pair_budget)
-        return take
-
-    if prev_plan is not None and session_keep_frac > 0.0:
-        prev_rows = prev_plan.sum(axis=1)
-        ratio = np.where(
-            prev_rows > 0.0,
-            np.minimum(1.0, supply / np.maximum(prev_rows, 1e-300)),
-            0.0,
-        )
-        keep = prev_plan * ratio[:, None] * session_keep_frac
-        tiny = 1e-3 * np.asarray(origin_rates, dtype=np.float64)
-        for o in range(n_o):
-            for r in range(n_r):
-                if keep[o, r] > tiny[o]:
-                    place(o, r, float(keep[o, r]))
-
-    if resident_floor_share > 0.0:
-        homes = np.argmin(latency_ms, axis=1)
-        for o in range(n_o):
-            floor = resident_floor_share * float(origin_rates[o])
-            short = floor - plan[o, homes[o]]
-            if short > 0.0:
-                place(o, int(homes[o]), short)
-
-    keep_alive = np.minimum(ctx.floor_rates, ctx.capacity_rates)
-    for r in range(n_r):
-        shortfall = float(keep_alive[r]) - totals[r]
-        for o in np.argsort(latency_ms[:, r], kind="stable"):
-            if shortfall <= 0.0:
-                break
-            shortfall -= place(int(o), r, shortfall)
-
-    for r in order:
-        for o in np.argsort(latency_ms[:, r], kind="stable"):
-            o = int(o)
-            if supply[o] <= 0.0:
-                continue
-            budget = min(budgets[r], user_targets_ms[r] - latency_ms[o, r])
-            if budget <= 0.0:
-                continue
-            if (
-                measured_p95_ms is not None
-                and np.isfinite(measured_p95_ms[r])
-                and measured_p95_ms[r] > budget
-            ):
-                continue
-            cap = min(caps[r], sla_rate_fn(r, float(budget)))
-            room = cap - totals[r]
-            if room <= 0.0:
-                continue
-            place(o, r, room)
-
     if supply.sum() > 1e-12:
         for o in range(n_o):
             for r in np.argsort(latency_ms[o], kind="stable"):

@@ -82,31 +82,22 @@ def erlang_c(c: int, offered_load: float) -> float:
     return _erlang_c_cached(int(c), float(offered_load))
 
 
-def erlang_c_batch(c, offered_load) -> np.ndarray:
-    """Vectorized :func:`erlang_c` over arrays of ``(c, offered_load)``.
+def erlang_c_batch(c: int, offered_load) -> np.ndarray:
+    """Vectorized :func:`erlang_c` over an array of offered loads.
 
-    Broadcasts ``c`` against ``offered_load`` and runs the Erlang-B
-    recursion in lockstep, masking each element once its own server count
-    is reached — the per-element arithmetic is exactly the scalar
-    recursion's, so results are bit-for-bit identical to :func:`erlang_c`.
+    Runs the Erlang-B recursion for ``c`` servers on every load at once;
+    the per-element arithmetic is exactly the scalar recursion's, so
+    results are bit-for-bit identical to :func:`erlang_c`.
     """
-    c_arr, a = np.broadcast_arrays(
-        np.asarray(c, dtype=np.int64), np.asarray(offered_load, dtype=np.float64)
-    )
-    if np.any(c_arr <= 0):
-        raise ValueError("server counts must be positive")
+    if c <= 0:
+        raise ValueError(f"server count must be positive, got {c}")
+    a = np.asarray(offered_load, dtype=np.float64)
     if np.any(a < 0):
         raise ValueError("offered loads must be non-negative")
-    if c_arr.size == 0:
-        return np.zeros(c_arr.shape)
-    rho = a / c_arr
-    # Lockstep Erlang-B: element i stops updating after k == c_i, freezing
-    # b at its own B_{c_i} — the same sequence of fused multiply/divides
-    # the scalar loop performs.
+    rho = a / c
     b = np.ones_like(a)
-    for k in range(1, int(c_arr.max()) + 1):
-        active = k <= c_arr
-        b = np.where(active, a * b / (k + a * b), b)
+    for k in range(1, int(c) + 1):
+        b = a * b / (k + a * b)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = b / (1.0 - rho * (1.0 - b))
     out = np.where(rho >= 1.0, 1.0, out)
@@ -127,8 +118,7 @@ def _mixture_quantile_s(q, shares, service_s, p_wait, mean_wait_s, overloaded):
     reaching ``q`` or the crossing on the segment before it *is* the
     quantile, so the answer is the smallest candidate.  ``D_k`` comes from a
     running ``logaddexp`` so ``e^{beta s}`` never overflows.  Rows without
-    queueing reduce to the atoms, overloaded rows return ``inf``, and
-    zero-share (padded) cells drop out.
+    queueing reduce to the atoms and overloaded rows return ``inf``.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile must be in (0, 1), got {q}")
@@ -282,13 +272,15 @@ def estimate_fifo(
 
 @dataclass(frozen=True)
 class BatchQueueEstimate:
-    """Row-wise steady-state estimates for a batch of configurations.
+    """Row-wise steady-state estimates over a rate grid.
 
     Row ``i`` is exactly what ``estimate_fifo(service_s[i], rates_per_s[i])``
     would produce (the same formulas evaluated elementwise; agreement is
     within ~1e-12 relative, bounded only by summation-order rounding), but
     all rows share one pass through the Erlang recursion and one call of
-    the closed-form quantile solver — the evaluator's batch hot path.
+    the closed-form quantile solver.  This is the path
+    :meth:`~repro.core.evaluator.ConfigEvaluator.evaluate_rates` takes when
+    the fleet router probes one deployed configuration at many rates.
     """
 
     rates_per_s: np.ndarray
@@ -323,26 +315,19 @@ def estimate_fifo_batch(
     mean_service_s: np.ndarray,
     rates_per_s,
     jitter_cv: float = DEFAULT_JITTER_CV,
-    valid: np.ndarray | None = None,
 ) -> BatchQueueEstimate:
-    """Vectorized :func:`estimate_fifo` over a batch of configurations.
+    """Vectorized :func:`estimate_fifo` over equal-width rows.
 
     Parameters
     ----------
     mean_service_s:
         ``(m,)`` — one instance set shared by every row (a rate grid over
-        one configuration) — or ``(n, m)`` — one row per configuration
-        (a candidate set).
+        one configuration) — or ``(n, m)`` — one row per configuration,
+        each with ``m`` instances.
     rates_per_s:
         Scalar or ``(n,)`` Poisson arrival rates, one per row.
     jitter_cv:
         As in :func:`estimate_fifo`.
-    valid:
-        Optional ``(n, m)`` boolean mask for ragged candidate sets: rows
-        with fewer instances are zero-padded on the right and masked out
-        here, so configurations of different sizes share one quantile
-        solve.  Padded cells must hold ``0.0`` service time and end up
-        with zero share, dropping out of every mixture sum.
 
     Every row reproduces the scalar estimator's formulas and goes through
     the same closed-form quantile solver; the only divergence is float
@@ -363,59 +348,33 @@ def estimate_fifo_batch(
         raise ValueError(
             f"{rates.size} rates for {service.shape[0]} service rows"
         )
-    if valid is not None:
-        valid = np.asarray(valid, dtype=bool)
-        if valid.shape != service.shape:
-            raise ValueError(
-                f"valid mask shape {valid.shape} != service {service.shape}"
-            )
-        if not np.all(valid.any(axis=1)):
-            raise ValueError("every row needs at least one valid instance")
-        if np.any(service[valid] <= 0):
-            raise ValueError("all mean service times must be positive")
-    elif np.any(service <= 0):
+    if np.any(service <= 0):
         raise ValueError("all mean service times must be positive")
     if np.any(rates <= 0):
         raise ValueError("all arrival rates must be positive")
 
-    n, m = service.shape
-    if valid is None:
-        mu = 1.0 / service
-        counts_row: np.ndarray | int = m
-        counts_col: np.ndarray | int = m
-    else:
-        mu = np.where(valid, 1.0 / np.where(valid, service, 1.0), 0.0)
-        counts_row = valid.sum(axis=1)
-        counts_col = counts_row[:, None]
+    m = service.shape[1]
+    mu = 1.0 / service
     mu_total = mu.sum(axis=1)
     rho = rates / mu_total
     overloaded = rho >= OVERLOAD_RHO
 
-    shares = (1.0 - rho)[:, None] / counts_col + rho[:, None] * (
-        mu / mu_total[:, None]
-    )
-    if valid is not None:
-        shares = np.where(valid, shares, 0.0)
+    shares = (1.0 - rho)[:, None] / m + rho[:, None] * (mu / mu_total[:, None])
     shares = shares / shares.sum(axis=1, keepdims=True)
-    fair = (
-        1.0 / counts_col
-        if valid is None
-        else np.where(valid, 1.0 / counts_col, 0.0)
-    )
-    shares = np.where(overloaded[:, None], fair, shares)
+    shares = np.where(overloaded[:, None], 1.0 / m, shares)
 
     mean_service = np.where(
         overloaded,
-        service.sum(axis=1) / counts_row,
+        service.sum(axis=1) / m,
         np.sum(shares * service, axis=1),
     )
     second_moment = np.sum(shares * service**2, axis=1) * (1.0 + jitter_cv**2)
     cs2 = np.maximum(second_moment / mean_service**2 - 1.0, 0.0)
 
-    mu_bar = mu_total / counts_row
+    mu_bar = mu_total / m
     offered = rates / mu_bar
     with np.errstate(divide="ignore", invalid="ignore"):
-        p_wait = erlang_c_batch(counts_row, offered)
+        p_wait = erlang_c_batch(m, offered)
         mean_wait = p_wait / (mu_total - rates) * (1.0 + cs2) / 2.0
     p_wait = np.where(overloaded, 1.0, p_wait)
     mean_wait = np.where(overloaded, np.inf, mean_wait)

@@ -24,11 +24,7 @@ from repro.shifting.batch import (
     BatchJobClass,
     BatchLot,
 )
-from repro.shifting.scheduler import (
-    TemporalScheduler,
-    _plan_batch_slots_scalar,
-    plan_batch_slots,
-)
+from repro.shifting.scheduler import TemporalScheduler, plan_batch_slots
 
 __all__ = [
     "ARRIVAL_PROFILES",
@@ -38,5 +34,4 @@ __all__ = [
     "BacklogLedger",
     "TemporalScheduler",
     "plan_batch_slots",
-    "_plan_batch_slots_scalar",
 ]

@@ -23,10 +23,9 @@ of how dirty the grid looks, up to whatever leftover capacity exists.
 slot capacities into score-rank order once, water-fills each lot with one
 cumulative sum over that rank-ordered vector (slots past the lot's
 deadline offer zero room), and scatters the allocation back to slot
-order once at the end — no per-lot gather or scatter.
-:func:`_plan_batch_slots_scalar` keeps the explicit per-slot loop as the
-semantic reference for the equivalence property tests, mirroring the
-routing layer's ``_water_fill`` convention.
+order once at the end — no per-lot gather or scatter.  The explicit
+per-slot loop it replaced is the semantic reference of the equivalence
+property tests in ``tests/shifting/test_scheduler_properties.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from repro.shifting.batch import BacklogLedger, BatchJobClass, BatchLot
 
 __all__ = [
     "plan_batch_slots",
-    "_plan_batch_slots_scalar",
     "TemporalScheduler",
 ]
 
@@ -137,51 +135,6 @@ def plan_batch_slots(
         take = min(need, float(caps[slot]))
         alloc[li, slot] = take
         caps[slot] -= take
-    return alloc
-
-
-def _plan_batch_slots_scalar(
-    requests: np.ndarray,
-    deadline_slots: np.ndarray,
-    slot_caps: np.ndarray,
-    slot_scores: np.ndarray,
-    preemptible: bool = True,
-) -> np.ndarray:
-    """The original lot-by-lot, slot-by-slot loop; the semantic reference
-    for :func:`plan_batch_slots`'s equivalence property tests."""
-    requests = np.asarray(requests, dtype=np.float64)
-    deadline_slots = np.asarray(deadline_slots, dtype=np.int64)
-    caps = [float(c) for c in np.asarray(slot_caps, dtype=np.float64)]
-    scores = np.asarray(slot_scores, dtype=np.float64)
-    n_lots, n_slots = requests.size, len(caps)
-    alloc = np.zeros((n_lots, n_slots), dtype=np.float64)
-    slot_rank = sorted(range(n_slots), key=lambda s: (scores[s], s))
-    for li in sorted(range(n_lots), key=lambda l: (deadline_slots[l], l)):
-        need = float(requests[li])
-        if need <= 0.0:
-            continue
-        last = max(0, min(int(deadline_slots[li]), n_slots - 1))
-        if preemptible:
-            for s in slot_rank:
-                if s > last or need <= 0.0:
-                    continue
-                take = min(need, caps[s])
-                if take > 0.0:
-                    alloc[li, s] = take
-                    caps[s] -= take
-                    need -= take
-        else:
-            chosen = None
-            for s in slot_rank:
-                if s <= last and caps[s] >= need - 1e-12:
-                    chosen = s
-                    break
-            if chosen is None:
-                eligible = [s for s in range(n_slots) if s <= last]
-                chosen = max(eligible, key=lambda s: caps[s])
-            take = min(need, caps[chosen])
-            alloc[li, chosen] = take
-            caps[chosen] -= take
     return alloc
 
 

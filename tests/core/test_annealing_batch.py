@@ -1,13 +1,8 @@
-"""Incremental annealing: graph memoization and batched neighbourhoods."""
+"""Incremental annealing: graph memoization."""
 
 import pytest
 
-from repro.core.annealing import (
-    OptimizationCostModel,
-    SAParams,
-    _Tracker,
-    simulated_annealing,
-)
+from repro.core.annealing import OptimizationCostModel, _Tracker
 from repro.core.config import base_config
 from repro.core.evaluator import ConfigEvaluator
 from repro.core.graph import ConfigGraph
@@ -88,72 +83,3 @@ class TestGraphMemoization:
         g2 = ConfigGraph.from_config(cfg, fam.num_variants)
         assert (g1.weights == g2.weights).all()
         assert not g1.weights.flags.writeable
-
-
-class TestNeighborhood:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SAParams(neighborhood=0)
-        assert SAParams().neighborhood == 1  # seed-equivalent default
-
-    def test_k1_trajectory_is_deterministic(self, setup):
-        fam, n_gpus, evaluator, objective, moves = setup
-        initial = base_config(fam, n_gpus)
-
-        def run():
-            ev = ConfigEvaluator(
-                zoo=evaluator.zoo, perf=evaluator.perf, family=fam.name,
-                rate_per_s=evaluator.rate_per_s, n_gpus=n_gpus,
-                method="analytic",
-            )
-            return simulated_annealing(
-                initial, ev, objective, ci=300.0, moves=moves, rng=5,
-                params=SAParams(max_evals=40, neighborhood=1),
-            )
-
-        a, b = run(), run()
-        assert [c.config for c in a.evaluated] == [
-            c.config for c in b.evaluated
-        ]
-        assert [c.value for c in a.evaluated] == [
-            c.value for c in b.evaluated
-        ]
-
-    def test_batched_neighborhood_counts_and_quality(self, setup):
-        fam, n_gpus, evaluator, objective, moves = setup
-        initial = base_config(fam, n_gpus)
-
-        def run(k):
-            ev = ConfigEvaluator(
-                zoo=evaluator.zoo, perf=evaluator.perf, family=fam.name,
-                rate_per_s=evaluator.rate_per_s, n_gpus=n_gpus,
-                method="analytic",
-            )
-            result = simulated_annealing(
-                initial, ev, objective, ci=300.0, moves=moves, rng=5,
-                params=SAParams(
-                    max_evals=60, no_improve_limit=60, neighborhood=k
-                ),
-            )
-            return result, ev
-
-        scalar, scalar_ev = run(1)
-        batched, batched_ev = run(4)
-        assert scalar_ev.cache_batched == 0
-        assert batched_ev.cache_batched > 0
-        assert batched.num_evaluations <= 60
-        # Both searches improve on (or match) the starting configuration.
-        start = batched.evaluated[0].sa_energy
-        assert batched.best_any.sa_energy <= start + 1e-12
-        assert scalar.best_any.sa_energy <= start + 1e-12
-
-    def test_max_evals_respected_with_partial_last_batch(self, setup):
-        fam, n_gpus, evaluator, objective, moves = setup
-        initial = base_config(fam, n_gpus)
-        result = simulated_annealing(
-            initial, evaluator, objective, ci=300.0, moves=moves, rng=2,
-            params=SAParams(
-                max_evals=10, no_improve_limit=10, neighborhood=4
-            ),
-        )
-        assert result.num_evaluations <= 10

@@ -186,16 +186,6 @@ class TestViews:
         w2[0, 0] = 1
         assert graph(w1).key() != graph(w2).key()
 
-    def test_to_networkx_round_trip(self):
-        w = np.zeros((4, 5), dtype=np.int64)
-        w[0, 2] = 3
-        w[2, 0] = 1
-        nxg = graph(w).to_networkx()
-        assert nxg.number_of_nodes() == 9  # 4 variants + 5 slices
-        assert nxg["V1"]["3g"]["weight"] == 3
-        assert nxg["V3"]["1g"]["weight"] == 1
-        assert nxg.number_of_edges() == 2
-
     def test_module_level_alias(self):
         g = graph(np.zeros((4, 5), dtype=np.int64))
         assert graph_edit_distance(g, g) == 0

@@ -1,7 +1,8 @@
 """Batched analytic estimator vs the scalar path, property-tested.
 
-The vectorized paths (`erlang_c_batch`, `estimate_fifo_batch`) are the
-optimizer's hot loop; the scalar functions stay the semantic reference.
+The vectorized paths (`erlang_c_batch`, `estimate_fifo_batch`) serve the
+fleet router's rate-grid probes; the scalar functions stay the semantic
+reference.
 The recursion is bit-for-bit identical; the batch estimate is allowed
 summation-order noise only (<= 1e-9 relative, typically ~1e-14).
 """
@@ -20,26 +21,14 @@ from repro.serving.analytic import (
 
 RTOL = 1e-9
 
-service_rows = st.lists(
-    st.lists(
-        st.floats(min_value=0.001, max_value=0.2),
-        min_size=1,
-        max_size=12,
-    ),
-    min_size=1,
-    max_size=8,
-)
-
-
-def _pad(rows):
-    """Zero-pad ragged rows to a rectangle plus its validity mask."""
-    width = max(len(r) for r in rows)
-    service = np.zeros((len(rows), width))
-    valid = np.zeros((len(rows), width), dtype=bool)
-    for i, row in enumerate(rows):
-        service[i, : len(row)] = row
-        valid[i, : len(row)] = True
-    return service, valid
+@st.composite
+def service_rows(draw):
+    """Up to 8 configurations of one width: ``m`` instances each."""
+    m = draw(st.integers(min_value=1, max_value=12))
+    row = st.lists(
+        st.floats(min_value=0.001, max_value=0.2), min_size=m, max_size=m
+    )
+    return draw(st.lists(row, min_size=1, max_size=8))
 
 
 def _assert_rows_match(batch, rows, rates):
@@ -58,7 +47,7 @@ def _assert_rows_match(batch, rows, rates):
             batch.mean_service_s[i], scalar.mean_service_s, rtol=RTOL
         )
         np.testing.assert_allclose(
-            batch.shares[i, : len(row)], scalar.shares, rtol=RTOL, atol=1e-15
+            batch.shares[i], scalar.shares, rtol=RTOL, atol=1e-15
         )
         if not scalar.overloaded:
             np.testing.assert_allclose(
@@ -70,16 +59,18 @@ def _assert_rows_match(batch, rows, rates):
 
 class TestErlangCBatch:
     @given(
-        cs=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=20),
-        load_frac=st.floats(min_value=0.0, max_value=1.5),
+        c=st.integers(min_value=1, max_value=40),
+        load_fracs=st.lists(
+            st.floats(min_value=0.0, max_value=1.5), min_size=1, max_size=20
+        ),
     )
     @settings(max_examples=100, deadline=None)
-    def test_bitwise_equal_to_scalar(self, cs, load_frac):
-        c = np.asarray(cs)
-        a = load_frac * c  # spans empty, stable and overloaded regimes
+    def test_bitwise_equal_to_scalar(self, c, load_fracs):
+        # Spans the empty, stable and overloaded regimes.
+        a = np.asarray(load_fracs) * c
         batch = erlang_c_batch(c, a)
-        for i, (ci, ai) in enumerate(zip(c, a)):
-            assert batch[i] == erlang_c(int(ci), float(ai))
+        for i, ai in enumerate(a):
+            assert batch[i] == erlang_c(c, float(ai))
 
     def test_broadcasts_scalar_c_over_loads(self):
         loads = np.linspace(0.0, 7.9, 17)
@@ -90,12 +81,12 @@ class TestErlangCBatch:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            erlang_c_batch(np.array([0]), np.array([1.0]))
+            erlang_c_batch(0, np.array([1.0]))
         with pytest.raises(ValueError):
-            erlang_c_batch(np.array([2]), np.array([-0.1]))
+            erlang_c_batch(2, np.array([-0.1]))
 
     def test_empty_input(self):
-        out = erlang_c_batch(np.zeros(0, dtype=int), np.zeros(0))
+        out = erlang_c_batch(3, np.zeros(0))
         assert out.shape == (0,)
 
 
@@ -116,20 +107,18 @@ class TestErlangCMemo:
         for c in (1, 3, 17):
             for a in (0.0, 0.4 * c, 0.95 * c):
                 assert erlang_c(c, a) == float(
-                    erlang_c_batch(np.array([c]), np.array([a]))[0]
+                    erlang_c_batch(c, np.array([a]))[0]
                 )
 
 
 class TestEstimateFifoBatch:
-    @given(rows=service_rows, load=st.floats(min_value=0.05, max_value=1.4))
+    @given(rows=service_rows(), load=st.floats(min_value=0.05, max_value=1.4))
     @settings(max_examples=60, deadline=None)
-    def test_ragged_rows_match_scalar(self, rows, load):
+    def test_equal_width_rows_match_scalar(self, rows, load):
         rates = np.array(
             [load * sum(1.0 / s for s in row) for row in rows]
         )
-        service, valid = _pad(rows)
-        mask = None if valid.all() else valid
-        batch = estimate_fifo_batch(service, rates, valid=mask)
+        batch = estimate_fifo_batch(np.array(rows), rates)
         _assert_rows_match(batch, rows, rates)
 
     def test_zero_rate_rejected_like_scalar(self):
@@ -139,44 +128,24 @@ class TestEstimateFifoBatch:
         with pytest.raises(ValueError):
             estimate_fifo_batch(np.array([[0.01], [0.01]]), np.array([5.0, 0.0]))
 
-    @given(rows=service_rows)
+    @given(rows=service_rows())
     @settings(max_examples=30, deadline=None)
     def test_near_idle_rows(self, rows):
         rates = np.full(len(rows), 1e-9)  # effectively idle, still valid
-        service, valid = _pad(rows)
-        mask = None if valid.all() else valid
-        batch = estimate_fifo_batch(service, rates, valid=mask)
+        batch = estimate_fifo_batch(np.array(rows), rates)
         assert not batch.overloaded.any()
         _assert_rows_match(batch, rows, rates)
 
     def test_overloaded_rows_match_scalar(self):
-        rows = [[0.01, 0.02], [0.05]]
+        rows = [[0.01, 0.02], [0.05, 0.03]]
         rates = np.array([1e6, 1e6])
-        service, valid = _pad(rows)
-        batch = estimate_fifo_batch(service, rates, valid=valid)
+        batch = estimate_fifo_batch(np.array(rows), rates)
         assert batch.overloaded.all()
         _assert_rows_match(batch, rows, rates)
 
     def test_mixed_overload_in_one_batch(self):
         rows = [[0.01, 0.01], [0.01, 0.01]]
-        service, valid = _pad(rows)
         rates = np.array([50.0, 1e6])
-        batch = estimate_fifo_batch(service, rates, valid=valid)
+        batch = estimate_fifo_batch(np.array(rows), rates)
         assert list(batch.overloaded) == [False, True]
         _assert_rows_match(batch, rows, rates)
-
-    def test_valid_mask_validation(self):
-        service = np.array([[0.01, 0.0]])
-        rates = np.array([10.0])
-        with pytest.raises(ValueError):
-            estimate_fifo_batch(
-                service, rates, valid=np.array([[True]])
-            )  # shape mismatch
-        with pytest.raises(ValueError):
-            estimate_fifo_batch(
-                service, rates, valid=np.array([[False, False]])
-            )  # empty row
-        with pytest.raises(ValueError):
-            estimate_fifo_batch(
-                service, rates, valid=np.array([[False, True]])
-            )  # valid cell with non-positive service time

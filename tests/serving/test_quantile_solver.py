@@ -42,8 +42,8 @@ def bisect_quantile_s(est: QueueEstimate, q: float) -> float:
     return hi
 
 
-def batch_row(batch: BatchQueueEstimate, i: int, m: int) -> QueueEstimate:
-    """Row ``i`` of a batch estimate, cut to its first ``m`` instances."""
+def batch_row(batch: BatchQueueEstimate, i: int) -> QueueEstimate:
+    """Row ``i`` of a batch estimate as a scalar estimate."""
     return QueueEstimate(
         rate_per_s=float(batch.rates_per_s[i]),
         utilization=float(batch.utilization[i]),
@@ -51,8 +51,8 @@ def batch_row(batch: BatchQueueEstimate, i: int, m: int) -> QueueEstimate:
         p_wait=float(batch.p_wait[i]),
         mean_wait_s=float(batch.mean_wait_s[i]),
         mean_service_s=float(batch.mean_service_s[i]),
-        shares=batch.shares[i, :m],
-        service_s=batch.service_s[i, :m],
+        shares=batch.shares[i],
+        service_s=batch.service_s[i],
     )
 
 
@@ -103,23 +103,20 @@ class TestAgainstBisection:
             assert est.quantile_s(q) == bisect_quantile_s(est, q)
 
     @given(
-        st.lists(service_rows(max_size=12), min_size=1, max_size=8),
-        loads,
+        service_rows(max_size=12),
+        st.lists(loads, min_size=1, max_size=8),
         quantiles,
     )
     @settings(max_examples=60, deadline=None)
-    def test_padded_ragged_batch_rows_match_bisection(self, rows, load, q):
-        width = max(len(r) for r in rows)
-        service = np.zeros((len(rows), width))
-        valid = np.zeros((len(rows), width), dtype=bool)
-        for i, row in enumerate(rows):
-            service[i, : len(row)] = row
-            valid[i, : len(row)] = True
-        rates = np.array([load * sum(1.0 / s for s in row) for row in rows])
-        batch = estimate_fifo_batch(service, rates, valid=valid)
+    def test_rate_grid_batch_rows_match_bisection(self, service, grid, q):
+        """One configuration at many rates: the batch ``evaluate_rates``
+        estimates when the fleet router probes a deployed config."""
+        capacity = sum(1.0 / s for s in service)
+        rates = np.array([load * capacity for load in grid])
+        batch = estimate_fifo_batch(np.asarray(service), rates)
         got = batch.quantile_s(q)
-        for i, row in enumerate(rows):
-            expected = bisect_quantile_s(batch_row(batch, i, len(row)), q)
+        for i in range(rates.size):
+            expected = bisect_quantile_s(batch_row(batch, i), q)
             assert got[i] == pytest.approx(expected, rel=RTOL, abs=0.0)
 
 

@@ -11,7 +11,7 @@ windows — the scheduler's no-miss claim).
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.shifting import _plan_batch_slots_scalar, plan_batch_slots
+from repro.shifting import plan_batch_slots
 
 RTOL = 1e-9
 
@@ -37,6 +37,51 @@ def plan_gathered(requests, deadline_slots, slot_caps, slot_scores):
         take = np.clip(need - prior, 0.0, room)
         alloc[li, eligible] = take
         caps[eligible] -= take
+    return alloc
+
+
+def _plan_batch_slots_scalar(
+    requests: np.ndarray,
+    deadline_slots: np.ndarray,
+    slot_caps: np.ndarray,
+    slot_scores: np.ndarray,
+    preemptible: bool = True,
+) -> np.ndarray:
+    """The original lot-by-lot, slot-by-slot loop; the semantic reference
+    for :func:`plan_batch_slots`'s equivalence property tests."""
+    requests = np.asarray(requests, dtype=np.float64)
+    deadline_slots = np.asarray(deadline_slots, dtype=np.int64)
+    caps = [float(c) for c in np.asarray(slot_caps, dtype=np.float64)]
+    scores = np.asarray(slot_scores, dtype=np.float64)
+    n_lots, n_slots = requests.size, len(caps)
+    alloc = np.zeros((n_lots, n_slots), dtype=np.float64)
+    slot_rank = sorted(range(n_slots), key=lambda s: (scores[s], s))
+    for li in sorted(range(n_lots), key=lambda l: (deadline_slots[l], l)):
+        need = float(requests[li])
+        if need <= 0.0:
+            continue
+        last = max(0, min(int(deadline_slots[li]), n_slots - 1))
+        if preemptible:
+            for s in slot_rank:
+                if s > last or need <= 0.0:
+                    continue
+                take = min(need, caps[s])
+                if take > 0.0:
+                    alloc[li, s] = take
+                    caps[s] -= take
+                    need -= take
+        else:
+            chosen = None
+            for s in slot_rank:
+                if s <= last and caps[s] >= need - 1e-12:
+                    chosen = s
+                    break
+            if chosen is None:
+                eligible = [s for s in range(n_slots) if s <= last]
+                chosen = max(eligible, key=lambda s: caps[s])
+            take = min(need, caps[chosen])
+            alloc[li, chosen] = take
+            caps[chosen] -= take
     return alloc
 
 

@@ -328,68 +328,3 @@ class TestLookaheadValidation:
         )
         with pytest.raises(ValueError, match="lookahead must be non-negative"):
             load_scenario_file(path)
-
-
-class TestBench:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.fidelity == "default"
-        assert args.out is None and args.check is None
-
-    def test_runs_and_checks_committed_baseline(self, capsys, tmp_path):
-        """The ``--out``/``--check`` wiring against the committed
-        baseline's scenarios and fidelity, with its numbers lowered to a
-        floor any host clears: no wall-clock is asserted here (the CI
-        perf job owns that)."""
-        from repro.perf import baseline_path, load_baseline
-
-        floor = load_baseline(baseline_path())
-        for scenario in floor["scenarios"].values():
-            scenario.update(ops_per_s=1e-9, speedup_vs_scalar=0.0)
-        floor_path = tmp_path / "floor.json"
-        floor_path.write_text(json.dumps(floor))
-        out = tmp_path / "baseline.json"
-        assert main([
-            "bench", "--fidelity", "smoke",
-            "--out", str(out),
-            "--check", str(floor_path),
-        ]) == 0
-        printed = capsys.readouterr().out
-        assert "batch_eval_1k" in printed
-        assert "no regression" in printed
-        written = json.loads(out.read_text())
-        assert written["schema"] == 1
-        assert set(written["scenarios"]) == {
-            "batch_eval_1k", "sa_epoch", "routing_epoch", "shifting_epoch"
-        }
-
-    def test_check_fails_on_regression(self, capsys, tmp_path):
-        # A fabricated baseline nothing real can match.
-        impossible = tmp_path / "impossible.json"
-        impossible.write_text(json.dumps({
-            "schema": 1,
-            "fidelity": "smoke",
-            "calibration_ops_per_s": 1.0,
-            "scenarios": {
-                "batch_eval_1k": {
-                    "ops_per_s": 1e15, "speedup_vs_scalar": 1e6,
-                    "items": 1000, "seconds": 1.0, "scalar_seconds": 1.0,
-                },
-            },
-        }))
-        assert main([
-            "bench", "--fidelity", "smoke", "--check", str(impossible)
-        ]) == 1
-        assert "regressions" in capsys.readouterr().out
-
-    def test_missing_baseline_one_line_error(self, capsys):
-        assert main(["bench", "--check", "/nope/missing.json"]) == 2
-        err = capsys.readouterr().err
-        assert "no such perf baseline" in err
-        assert "Traceback" not in err
-
-    def test_invalid_baseline_one_line_error(self, capsys, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": 7}')
-        assert main(["bench", "--check", str(bad)]) == 2
-        assert "invalid perf baseline" in capsys.readouterr().err

@@ -7,18 +7,26 @@ from pathlib import Path
 
 import repro
 
+#: ``[project] dependencies`` in pyproject.toml (tomli only below 3.11).
+DECLARED = {"numpy", "tomli"}
 
-def test_imports_without_scipy():
-    """scipy is not a declared dependency, so no import path may need it.
+_PROBE = """\
+import sys
+before = set(sys.modules)
+import repro, repro.cli, repro.analysis, repro.scenarios
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(added - set(sys.stdlib_module_names) - {"repro"})))
+"""
 
-    A fresh interpreter maps ``scipy`` to ``None`` in ``sys.modules``,
-    which makes any ``import scipy`` raise ``ModuleNotFoundError`` even
-    where scipy is installed.
+
+def test_imports_only_declared_dependencies():
+    """Importing every entry point loads no undeclared third-party module.
+
+    A fresh interpreter snapshots ``sys.modules``, imports the package,
+    and lists the top-level modules the import added that are neither
+    stdlib nor ``repro`` itself: what ``pip install -e .`` must provide.
+    Whatever else happens to be installed, an import of it shows up here.
     """
-    code = (
-        "import sys; sys.modules['scipy'] = None; "
-        "import repro, repro.cli, repro.analysis"
-    )
     # Import the package under test, not whichever copy is installed.
     package_root = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -26,6 +34,8 @@ def test_imports_without_scipy():
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-c", _PROBE], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
+    third_party = set(proc.stdout.split())
+    assert third_party <= DECLARED, sorted(third_party - DECLARED)
