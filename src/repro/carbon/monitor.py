@@ -28,6 +28,12 @@ class CarbonIntensityMonitor:
     trace: CarbonIntensityTrace
     threshold: float = DEFAULT_CHANGE_THRESHOLD
     reference_ci: float | None = field(default=None, init=False)
+    #: The last ``(trace, t_h, ci)`` read: one epoch observes, tests the
+    #: trigger and marks the reference at the same ``t_h``, so the trace
+    #: lookup runs once per epoch.
+    _last: tuple[CarbonIntensityTrace, float, float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.threshold <= 0:
@@ -35,7 +41,12 @@ class CarbonIntensityMonitor:
 
     def observe(self, t_h: float) -> float:
         """Read the current carbon intensity at trace time ``t_h`` (hours)."""
-        return float(self.trace.at(t_h))
+        last = self._last
+        if last is not None and last[0] is self.trace and last[1] == t_h:
+            return last[2]
+        ci = float(self.trace.at(t_h))
+        self._last = (self.trace, t_h, ci)
+        return ci
 
     def should_trigger(self, t_h: float) -> bool:
         """Whether intensity moved > threshold since the last optimization.

@@ -371,8 +371,14 @@ class ServiceController:
         return max(1, int(round(duration_h * 3600.0 / self.step_s)))
 
     def begin_run(self) -> RunResult:
-        """Start a fresh run: empty result, no deployed configuration."""
+        """Start a fresh run: empty result, no deployed configuration.
+
+        The scheme forgets its per-run state too (RNG substream index,
+        warm start), so a second run of the same controller replays the
+        first bit for bit.
+        """
         self._deployed = None
+        self.scheme.reset()
         return RunResult(
             scheme_name=self.scheme.name,
             family=self.scheme.family,

@@ -76,6 +76,11 @@ __all__ = ["Evaluation", "CacheStats", "ConfigEvaluator"]
 class CacheStats:
     """Hit/miss counters of one evaluator's configuration cache.
 
+    Hits count only the lookups that reach the evaluator.  A caller that
+    memoizes above it — the fleet's per-region SLA-envelope memo skips
+    bisections that would have been all hits — lowers ``hits`` and never
+    changes ``misses``, ``size`` or ``batched``.
+
     ``batched`` counts the evaluations *computed* by
     :meth:`ConfigEvaluator.evaluate_rates`, which estimates a rate grid in
     one vectorized pass — a subset of ``misses``, so it surfaces how much

@@ -125,6 +125,14 @@ class Scheme(ABC):
             deployed=target, evaluated=(), virtual_cost_s=cost, termination="static"
         )
 
+    def reset(self) -> None:
+        """Forget per-run state, so the next run replays a fresh one.
+
+        The invocation count indexes the per-invocation RNG substream.
+        Pure caches (ORACLE's offline profile) survive.
+        """
+        self._invocations = 0
+
     def _fork_rng(self) -> np.random.Generator:
         """Per-invocation RNG substream (reproducible across runs)."""
         return self.mixer.fork(f"{self.name}-invocation", self._invocations)
@@ -167,6 +175,12 @@ class _SearchScheme(Scheme):
     """Shared plumbing of the two online-search schemes."""
 
     moves: MoveGenerator = field(init=False)
+    #: The last invocation's deployment: the next search's warm start.
+    _last_best: ClusterConfig | None = field(default=None, init=False)
+
+    def reset(self) -> None:
+        super().reset()
+        self._last_best = None
 
     def _setup(self) -> None:
         self.moves = MoveGenerator(
@@ -221,8 +235,6 @@ class _SearchScheme(Scheme):
 class CloverScheme(_SearchScheme):
     """The paper's system: warm-started SA in the configuration-graph space."""
 
-    _last_best: ClusterConfig | None = field(default=None, init=False)
-
     def __post_init__(self) -> None:
         self.name = "clover"
         self.reoptimizes = True
@@ -260,8 +272,6 @@ class BloverScheme(_SearchScheme):
     (there is no graph notion of a "small" step in the raw space).  This is
     the paper's control that isolates the contribution of Sec. 4.2.
     """
-
-    _last_best: ClusterConfig | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         self.name = "blover"

@@ -1096,29 +1096,45 @@ class FleetCoordinator:
              for f in self._forecasters]
         )
 
-    def _sla_rate_fn(self, user_targets_ms: np.ndarray | None = None):
+    def _sla_budget_tables(
+        self, user_targets_ms: np.ndarray
+    ) -> list[np.ndarray]:
+        """Every positive budget the cell planner can ask each region for.
+
+        A budget for region ``r`` is ``user_targets_ms[r] - latency[o, r]``
+        for some origin ``o`` (the running regional budget is a min over
+        placed pair budgets, and a min of set members is a member), so the
+        tables are run constants, built once before the epoch loop.
+        """
+        latency = self.latency_matrix.latency_ms
+        tables = []
+        for r in range(len(self.services)):
+            budgets = np.unique(user_targets_ms[r] - latency[:, r])
+            tables.append(budgets[budgets > 0.0])
+        return tables
+
+    def _sla_rate_fn(self, budget_tables: list[np.ndarray] | None = None):
         """Per-epoch memoized (region, budget) → SLA-safe-rate bisections.
 
-        Every budget the cell planner can ask region ``r`` for is of the
-        form ``user_targets_ms[r] - latency[o, r]`` (the running regional
-        budget is a min over placed pair budgets, and a min of set members
-        is a member), so when the targets are known the whole table is
-        priced in one :meth:`RegionalService.sla_safe_rates` lockstep
-        bisection per region, on first touch.  Unexpected budgets — or a
-        caller without targets — fall back to the scalar bisection.
+        With the run's :meth:`_sla_budget_tables`, region ``r``'s whole
+        table is priced in one :meth:`RegionalService.sla_safe_rates`
+        lockstep bisection on first touch (a copy of the region's stored
+        envelope while its deployment and awake count are unchanged).
+        Unexpected budgets — or a caller without tables — fall back to the
+        scalar bisection.
         """
         cache: dict[tuple[int, float], float] = {}
         tabled: set[int] = set()
-        latency = None
-        if user_targets_ms is not None:
-            latency = self.latency_matrix.latency_ms
 
         def fn(r: int, budget_ms: float) -> float:
             key = (r, round(budget_ms, 6))
-            if key not in cache and latency is not None and r not in tabled:
+            if (
+                key not in cache
+                and budget_tables is not None
+                and r not in tabled
+            ):
                 tabled.add(r)
-                budgets = np.unique(user_targets_ms[r] - latency[:, r])
-                budgets = budgets[budgets > 0.0]
+                budgets = budget_tables[r]
                 if budgets.size:
                     rates = self.services[r].sla_safe_rates(budgets)
                     for b, rate in zip(budgets, rates):
@@ -1398,6 +1414,11 @@ class FleetCoordinator:
         user_targets = np.array(
             [s.user_sla_target_ms for s in self.services]
         ) - self.SLA_PLANNING_MARGIN_MS
+        budget_tables = (
+            None
+            if self.demand is None
+            else self._sla_budget_tables(user_targets)
+        )
         for i in range(n_epochs):
             t_h = i * self.step_s / 3600.0
             if self._managers is not None:
@@ -1436,7 +1457,7 @@ class FleetCoordinator:
                         origin_rates,
                         self.latency_matrix.latency_ms,
                         user_targets,
-                        self._sla_rate_fn(user_targets),
+                        self._sla_rate_fn(budget_tables),
                         measured_p95_ms=measured,
                         prev_plan=prev_plan,
                         session_keep_frac=self._session_keep,

@@ -19,13 +19,14 @@ condition; property-tested).  A lot whose deadline falls inside the
 current epoch is *deadline-forced*: it is placed into slot 0 regardless
 of how dirty the grid looks, up to whatever leftover capacity exists.
 
-:func:`plan_batch_slots` is the vectorized hot loop.  It permutes the
-slot capacities into score-rank order once, water-fills each lot with one
-cumulative sum over that rank-ordered vector (slots past the lot's
-deadline offer zero room), and scatters the allocation back to slot
-order once at the end — no per-lot gather or scatter.  The explicit
-per-slot loop it replaced is the semantic reference of the equivalence
-property tests in ``tests/shifting/test_scheduler_properties.py``.
+:func:`plan_batch_slots` permutes the slot capacities into score-rank
+order once, water-fills each lot with a running sum over the open rank
+positions inside its deadline — stopping as soon as the sum provably
+covers the lot — and scatters the allocation back to slot order once at
+the end.  Its arithmetic is the rank-space numpy loop's, op for op; that
+loop stays in ``tests/shifting/test_scheduler_properties.py`` as the
+bit-for-bit oracle, next to the explicit per-slot loop that is the
+semantic reference.
 """
 
 from __future__ import annotations
@@ -71,14 +72,24 @@ def plan_batch_slots(
     fall short of ``requests`` only when the lot's eligible slots lack
     capacity — the caller keeps the remainder queued.
 
-    Preemptible lots are planned in *rank space*: column ``j`` of the
-    working matrix is the ``j``-th cleanest slot.  Each lot (earliest
-    deadline first) sees ``room = where(slot_rank <= last, caps, 0)``,
-    takes ``min(max(need - prior, 0), room)`` with ``prior`` the room of
-    cleaner slots, and the columns are scattered back to slot order
-    once.  Zero room past the deadline adds ``+0.0`` inside the
-    sequential cumsum, so every take equals the water-fill over the
-    gathered eligible slots bit for bit.
+    Preemptible lots are planned in *rank space*: position ``j`` is the
+    ``j``-th cleanest slot.  Each lot (earliest deadline first) runs the
+    water-fill ``c += room; take = min(max(need - (c - room), 0), room)``
+    over the positions inside its deadline, so every take equals the
+    water-fill over the gathered eligible slots bit for bit.  Positions
+    past the deadline or with no room left are skipped, and the scan
+    stops once the running sum covers the need with a rounding slack
+    (see :func:`_water_fill_ranked`); both skips are exact.
+
+    ``prior = c - room`` cancels when a small room precedes a huge one,
+    so a lot can be over-served: ``plan_batch_slots([1.], [1],
+    [1., 2.**60], [1., 2.])`` returns ``[[1., 1.]]`` — a need of 1 gets
+    2 — where the per-slot reference gives ``[[1., 0.]]``.  Fixing it
+    moves ulps of every plan, so it waits for its own re-pin.
+
+    Raises ``ValueError`` unless every capacity is finite and
+    non-negative and no request count is NaN (the domain on which the
+    scan's skips are exact).
 
     >>> alloc = plan_batch_slots(
     ...     np.array([10.0]), np.array([2]),
@@ -98,6 +109,10 @@ def plan_batch_slots(
         )
     if scores.size != n_slots:
         raise ValueError(f"{scores.size} scores for {n_slots} slots")
+    if not np.all(np.isfinite(caps) & (caps >= 0.0)):
+        raise ValueError("slot capacities must be finite and non-negative")
+    if np.isnan(requests).any():
+        raise ValueError("lot request counts must not be NaN")
     alloc = np.zeros((n_lots, n_slots), dtype=np.float64)
     # Cleanest slot first; stable sort prefers the *earlier* slot on
     # ties, so equal-score work is never deferred for nothing.
@@ -107,20 +122,14 @@ def plan_batch_slots(
     # capacity a later lot could not also have used.
     edf = np.argsort(deadline_slots, kind="stable")
     if preemptible:
-        # Rank space (see above): column j is the j-th cleanest slot.
-        rcaps = caps[slot_rank]
-        ralloc = np.zeros((n_lots, n_slots), dtype=np.float64)
-        for li in edf:
-            need = float(requests[li])
-            if need <= 0.0:
-                continue
-            last = max(0, min(int(deadline_slots[li]), n_slots - 1))
-            room = np.where(slot_rank <= last, rcaps, 0.0)
-            prior = np.cumsum(room) - room
-            take = np.minimum(np.maximum(need - prior, 0.0), room)
-            ralloc[li] = take
-            rcaps -= take
-        alloc[:, slot_rank] = ralloc
+        _water_fill_ranked(
+            requests.tolist(),
+            deadline_slots.tolist(),
+            caps[slot_rank].tolist(),
+            slot_rank.tolist(),
+            edf.tolist(),
+            alloc,
+        )
         return alloc
     for li in edf:
         need = float(requests[li])
@@ -136,6 +145,87 @@ def plan_batch_slots(
         alloc[li, slot] = take
         caps[slot] -= take
     return alloc
+
+
+def _water_fill_ranked(
+    needs: list[float],
+    deadlines: list[int],
+    rooms: list[float],
+    rank_slot: list[int],
+    edf: list[int],
+    alloc: np.ndarray,
+) -> None:
+    """Preemptible EDF water-fill in rank space, written into ``alloc``.
+
+    ``rooms[j]`` is the spare capacity of the ``j``-th cleanest slot and
+    ``rank_slot[j]`` its slot index.  Each lot runs
+    ``c += room; prior = c - room; take = min(max(need - prior, 0), room)``
+    over its deadline window in rank order, op for op as the rank-space
+    numpy loop (``np.maximum`` and ``np.minimum`` return their second
+    operand on ties, hence ``+0.0`` for ``max(0, 0)``).  Three kinds of
+    position are settled without running that arithmetic, exactly:
+
+    * a position past the deadline, or with room ``+0.0``, adds ``+0.0``
+      to ``c`` (``need > 0``, so the sign of a zero ``c`` never reaches a
+      take) and takes ``+0.0``;
+    * once ``c >= need + slack`` with ``slack = 4·2**-53·T`` (``T`` the
+      ``math.fsum`` of the capacities), every later
+      ``prior = fl(fl(c + room) - room)`` is at least ``c - 2·2**-53·T``
+      (to first order) and the stop test rounds off at most
+      ``2**-53·T`` more, so ``need - prior <= 0`` and every later take
+      is ``+0.0``;
+    * a ``-0.0`` room never moves ``c`` and always takes ``-0.0``
+      (``min(m, -0.0)`` with ``m >= +0.0``), leaving ``+0.0`` behind, so
+      it is settled for the first lot whose window holds it.
+    """
+    n_slots = len(rooms)
+    try:
+        slack = 4.0 * 2.0**-53 * math.fsum(rooms)
+    except OverflowError:  # capacities summing past the float range
+        slack = math.inf
+    open_pos = [j for j, room in enumerate(rooms) if room > 0.0]
+    signed_zero_slots = [
+        slot
+        for slot, room in zip(rank_slot, rooms)
+        if math.copysign(1.0, room) < 0.0
+    ]
+    rows: list[int] = []
+    cols: list[int] = []
+    takes: list[float] = []
+    for li in edf:
+        need = needs[li]
+        if need <= 0.0:
+            continue
+        last = max(0, min(deadlines[li], n_slots - 1))
+        if signed_zero_slots:
+            for slot in signed_zero_slots:
+                if slot <= last:
+                    rows.append(li)
+                    cols.append(slot)
+                    takes.append(-0.0)
+            signed_zero_slots = [s for s in signed_zero_slots if s > last]
+        stop = need + slack
+        c = 0.0
+        closed = False
+        for j in open_pos:
+            slot = rank_slot[j]
+            if slot > last:
+                continue
+            room = rooms[j]
+            c += room
+            x = need - (c - room)
+            if x > 0.0:
+                take = x if x < room else room
+                rooms[j] = room - take
+                closed = closed or take == room
+                rows.append(li)
+                cols.append(slot)
+                takes.append(take)
+            if c >= stop:
+                break
+        if closed:
+            open_pos = [j for j in open_pos if rooms[j] > 0.0]
+    alloc[rows, cols] = takes
 
 
 class TemporalScheduler:

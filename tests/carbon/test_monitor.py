@@ -85,3 +85,28 @@ class TestOfflinePreview:
         m = CarbonIntensityMonitor(trace_from([100, 200]))
         m.trigger_times(np.array([0.0, 1.0]))
         assert m.reference_ci is None
+
+
+class TestObserveCache:
+    def test_repeated_and_new_times_equal_the_trace(self):
+        trace = CarbonIntensityTrace(
+            times_h=np.arange(6.0),
+            values=np.array([100.0, 130.0, 90.0, 90.0, 210.0, 60.0]),
+        )
+        m = CarbonIntensityMonitor(trace)
+        for t in [0.0, 0.0, 0.5, 0.5, 2.25, 0.5, 0.0, 5.0, 7.5, 7.5, -1.0]:
+            assert m.observe(t) == float(trace.at(t))
+
+    def test_a_replaced_trace_is_read_afresh(self):
+        m = CarbonIntensityMonitor(trace_from([100, 200]))
+        assert m.observe(1.0) == 200.0
+        m.trace = trace_from([300, 400])
+        assert m.observe(1.0) == 400.0
+
+    def test_cache_is_out_of_equality_and_repr(self):
+        trace = trace_from([100, 200])
+        seen = CarbonIntensityMonitor(trace)
+        fresh = CarbonIntensityMonitor(trace)
+        seen.observe(1.0)
+        assert seen == fresh
+        assert repr(seen) == repr(fresh)

@@ -128,6 +128,24 @@ class TestSearchSchemes:
         b_cost = ob.virtual_cost_s / max(1, ob.num_evaluations)
         assert b_cost > c_cost
 
+    @pytest.mark.parametrize("name", ["clover", "blover"])
+    def test_reset_replays_a_fresh_scheme(self, ctx, name):
+        scheme = make_scheme(
+            name, **ctx, mixer=RngMixer(seed=4),
+            sa_params=SAParams(max_evals=30),
+        )
+        first = [scheme.optimize(250.0, None)]
+        first.append(scheme.optimize(240.0, first[0].deployed))
+        scheme.reset()
+        assert scheme.invocations == 0
+        again = [scheme.optimize(250.0, None)]
+        again.append(scheme.optimize(240.0, again[0].deployed))
+        for a, b in zip(first, again):
+            assert b.deployed == a.deployed
+            assert [c.config for c in b.evaluated] == [
+                c.config for c in a.evaluated
+            ]
+
     def test_invocation_rngs_differ(self, ctx):
         """Two invocations at the same ci must not replay the same search."""
         scheme = make_scheme("clover", **ctx, mixer=RngMixer(seed=3))

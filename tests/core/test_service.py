@@ -88,6 +88,19 @@ class TestServiceCreate:
         assert runs[0].total_carbon_g == pytest.approx(runs[1].total_carbon_g)
         assert runs[0].mean_accuracy == pytest.approx(runs[1].mean_accuracy)
 
+    @pytest.mark.parametrize("scheme", ["clover", "blover"])
+    def test_second_run_replays_the_first(self, scheme):
+        """A built service's scheme forgets its RNG substream index and
+        warm start at every run start, so run two replays run one."""
+        service = CarbonAwareInferenceService.create(
+            scheme=scheme, fidelity="smoke", seed=0, n_gpus=2
+        )
+        first = service.run(duration_h=12.0)
+        second = service.run(duration_h=12.0)
+        assert second.total_carbon_g == first.total_carbon_g
+        assert second.epochs == first.epochs
+        assert second.invocations == first.invocations
+
     def test_different_seeds_differ(self):
         reports = []
         for seed in (0, 1):

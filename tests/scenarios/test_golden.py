@@ -117,6 +117,27 @@ def test_example_scenario_matches_golden(stem):
     assert _golden_metrics(result) == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "stem", sorted(p.stem for p in EXAMPLE_SCENARIOS.glob("*.toml"))
+)
+def test_second_run_of_a_built_coordinator_replays_the_first(stem):
+    """A fresh run inherits no state from the last one, so running one
+    built coordinator twice gives the same result bit for bit."""
+    spec, _ = load_scenario_file(EXAMPLE_SCENARIOS / f"{stem}.toml")
+    spec = spec.with_fidelity("smoke")
+    coordinator = Scenario(spec).build()
+    first, second = (
+        coordinator.run(
+            duration_h=spec.duration_h,
+            parallel_regions=spec.parallel_regions,
+        )
+        for _ in range(2)
+    )
+    assert _golden_metrics(second) == _golden_metrics(first)
+    for a, b in zip(first.results, second.results):
+        assert b.epochs == a.epochs
+
+
 class RecordingRunner(ExperimentRunner):
     """Captures every spec an experiment executes (then runs it)."""
 

@@ -73,6 +73,19 @@ class TestPlanBatchSlots:
         with pytest.raises(ValueError, match="scores"):
             plan([1.0], [0], [10.0, 10.0], [100.0])
 
+    @pytest.mark.parametrize("preemptible", [True, False])
+    @pytest.mark.parametrize("bad_cap", [-1.0, np.inf, np.nan])
+    def test_capacities_must_be_finite_and_non_negative(
+        self, bad_cap, preemptible
+    ):
+        with pytest.raises(ValueError, match="capacities"):
+            plan([1.0], [1], [10.0, bad_cap], [100.0, 200.0],
+                 preemptible=preemptible)
+
+    def test_request_counts_must_not_be_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            plan([np.nan], [0], [10.0], [100.0])
+
 
 def make_scheduler(
     jobs_per_h=360.0,

@@ -1,19 +1,47 @@
 """Property tests for the temporal slot planner.
 
-Four guarantees: the rank-space planner equals the gathered water-fill
-it replaced bit for bit, it agrees with its scalar reference within
-summation-order noise, every plan respects capacity and deadline
-eligibility, and EDF water-filling never misses a deadline the slot
-capacities could have met (Hall's condition on the nested deadline
+Five guarantees: the prefix scan equals the rank-space numpy loop it
+replaced bit for bit (signs of zero included), which in turn equals the
+gathered water-fill before it, the planner agrees with its scalar
+reference within summation-order noise, every plan respects capacity and
+deadline eligibility, and EDF water-filling never misses a deadline the
+slot capacities could have met (Hall's condition on the nested deadline
 windows — the scheduler's no-miss claim).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.shifting import plan_batch_slots
 
 RTOL = 1e-9
+
+
+def plan_ranked_numpy(requests, deadline_slots, slot_caps, slot_scores):
+    """The preemptible water-fill as one numpy pass per lot in rank space:
+    the form ``plan_batch_slots`` ran before its prefix scan."""
+    requests = np.asarray(requests, dtype=np.float64)
+    deadline_slots = np.asarray(deadline_slots, dtype=np.int64)
+    caps = np.array(slot_caps, dtype=np.float64)
+    scores = np.asarray(slot_scores, dtype=np.float64)
+    n_lots, n_slots = requests.size, caps.size
+    alloc = np.zeros((n_lots, n_slots), dtype=np.float64)
+    slot_rank = np.argsort(scores, kind="stable")
+    rcaps = caps[slot_rank]
+    ralloc = np.zeros((n_lots, n_slots), dtype=np.float64)
+    for li in np.argsort(deadline_slots, kind="stable"):
+        need = float(requests[li])
+        if need <= 0.0:
+            continue
+        last = max(0, min(int(deadline_slots[li]), n_slots - 1))
+        room = np.where(slot_rank <= last, rcaps, 0.0)
+        prior = np.cumsum(room) - room
+        take = np.minimum(np.maximum(need - prior, 0.0), room)
+        ralloc[li] = take
+        rcaps -= take
+    alloc[:, slot_rank] = ralloc
+    return alloc
 
 
 def plan_gathered(requests, deadline_slots, slot_caps, slot_scores):
@@ -38,6 +66,12 @@ def plan_gathered(requests, deadline_slots, slot_caps, slot_scores):
         alloc[li, eligible] = take
         caps[eligible] -= take
     return alloc
+
+
+def assert_bitwise_equal(got, ref):
+    np.testing.assert_array_equal(got, ref)
+    # array_equal treats -0.0 == 0.0; the signs must match too.
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
 
 
 def _plan_batch_slots_scalar(
@@ -104,6 +138,29 @@ def slot_problems(draw):
     return requests, deadline_slots, caps, scores, preemptible
 
 
+@st.composite
+def edge_slot_problems(draw):
+    """Problems at the edges of the scan's exactness argument: signed-zero
+    and huge capacities, needs equal to capacities, deadlines before and
+    past the horizon, and score ties."""
+    n_lots = draw(st.integers(min_value=1, max_value=12))
+    n_slots = draw(st.integers(min_value=1, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    decimals = draw(st.sampled_from([0, 3]))
+    requests = rng.uniform(0.0, 80.0, n_lots).round(decimals)
+    caps = rng.uniform(0.0, 120.0, n_slots).round(0)
+    caps *= 2.0 ** rng.integers(-40, 71, n_slots)
+    pick = rng.random(n_slots)
+    caps[pick < 0.2] = 0.0
+    caps[(pick >= 0.2) & (pick < 0.4)] = -0.0
+    # Needs equal to capacities land lots exactly on a slot's room.
+    equal = (pick >= 0.4) & (pick < 0.6)
+    caps[equal] = rng.choice(requests, n_slots)[equal]
+    deadline_slots = rng.integers(-2, n_slots + 3, n_lots)
+    scores = rng.uniform(20.0, 400.0, n_slots).round(-2)
+    return requests, deadline_slots, caps, scores
+
+
 class TestRankSpaceMatchesGathered:
     @given(problem=slot_problems())
     @settings(max_examples=200, deadline=None)
@@ -111,9 +168,71 @@ class TestRankSpaceMatchesGathered:
         requests, deadlines, caps, scores, _ = problem
         got = plan_batch_slots(requests, deadlines, caps, scores, preemptible=True)
         ref = plan_gathered(requests, deadlines, caps, scores)
-        np.testing.assert_array_equal(got, ref)
-        # array_equal treats -0.0 == 0.0; the signs must match too.
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+        assert_bitwise_equal(got, ref)
+
+
+class TestScanMatchesRankedNumpy:
+    """The prefix scan skips closed and ineligible positions and stops
+    early; none of that may move a bit of the numpy loop's plan."""
+
+    @given(problem=slot_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_slot_problems_bit_for_bit(self, problem):
+        requests, deadlines, caps, scores, _ = problem
+        assert_bitwise_equal(
+            plan_batch_slots(requests, deadlines, caps, scores),
+            plan_ranked_numpy(requests, deadlines, caps, scores),
+        )
+
+    @given(problem=edge_slot_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_edge_problems_bit_for_bit(self, problem):
+        requests, deadlines, caps, scores = problem
+        assert_bitwise_equal(
+            plan_batch_slots(requests, deadlines, caps, scores),
+            plan_ranked_numpy(requests, deadlines, caps, scores),
+        )
+
+    @pytest.mark.parametrize(
+        "requests, deadlines, caps, scores",
+        [
+            # -0.0 rooms take -0.0 for the first lot whose window holds
+            # them, inside and after the point where the scan stops.
+            ([5.0, 3.0], [3, 1], [-0.0, 2.0, -0.0, 7.0], [1.0, 2.0, 3.0, 4.0]),
+            ([1.0, 1.0], [2, 2], [-0.0, 5.0, -0.0], [3.0, 1.0, 2.0]),
+            # Needs equal to caps close a slot exactly.
+            ([4.0, 6.0, 2.0], [1, 2, 2], [4.0, 6.0, 2.0], [1.0, 1.0, 1.0]),
+            # Deadlines before slot 0 and past the horizon clamp.
+            ([3.0, 9.0], [-3, 40], [2.0, 2.0, 20.0], [5.0, 1.0, 3.0]),
+            # A 2**60 room after a small one: the cumsum cancels.
+            ([1.0], [1], [1.0, 2.0**60], [1.0, 2.0]),
+            ([2.0**60, 3.0], [2, 2], [2.0**60, 1.0, 2.0**60], [2.0, 1.0, 3.0]),
+            # Capacities summing past the float range: no stop at all.
+            ([1e308, 1e308], [5, 5], [1e308, 1e308, 1e308], [3.0, 2.0, 1.0]),
+            ([np.inf, 2.0], [2, 0], [3.0, 4.0, 5.0], [1.0, 1.0, 1.0]),
+            ([0.0, -1.0, 2.0], [1, 1, 1], [1.0, 1.0], [2.0, 1.0]),
+        ],
+    )
+    def test_targeted_cases_bit_for_bit(
+        self, requests, deadlines, caps, scores
+    ):
+        with np.errstate(over="ignore"):
+            ref = plan_ranked_numpy(requests, deadlines, caps, scores)
+        assert_bitwise_equal(
+            plan_batch_slots(requests, deadlines, caps, scores), ref
+        )
+
+    def test_cancellation_over_serve_is_kept(self):
+        """``cumsum - room`` cancels past a 2**60 room: a need of 1 gets
+        2 where the per-slot reference gives 1.  The scan keeps the
+        arithmetic bit for bit; the fix is a separate re-pin."""
+        got = plan_batch_slots([1.0], [1], [1.0, 2.0**60], [1.0, 2.0])
+        assert got.tolist() == [[1.0, 1.0]]
+        ref = _plan_batch_slots_scalar(
+            np.array([1.0]), np.array([1]), np.array([1.0, 2.0**60]),
+            np.array([1.0, 2.0]),
+        )
+        assert ref.tolist() == [[1.0, 0.0]]
 
 
 class TestVectorizedMatchesScalar:
