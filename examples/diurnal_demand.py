@@ -29,7 +29,13 @@ from __future__ import annotations
 import argparse
 
 from repro.analysis.reporting import format_table
-from repro.fleet import FleetCoordinator, region_by_name
+from repro.scenarios import (
+    DemandSpec,
+    RegionSpec,
+    RoutingSpec,
+    Scenario,
+    ScenarioSpec,
+)
 
 #: Small clusters + smoke fidelity keep the example interactive (~seconds).
 EXAMPLE_GPUS = 2
@@ -37,22 +43,22 @@ DEMAND_REGIONS = ("us-ciso", "uk-eso", "apac-solar")
 
 
 def run_fleet(router: str, args, lookahead_h: float | None = None):
-    regions = tuple(
-        region_by_name(n, n_gpus=args.n_gpus) for n in DEMAND_REGIONS
-    )
-    fleet = FleetCoordinator.create(
-        regions,
+    spec = ScenarioSpec(
+        regions=tuple(RegionSpec(name=n) for n in DEMAND_REGIONS),
         application=args.application,
         scheme="clover",
-        router=router,
         fidelity="smoke",
         seed=args.seed,
-        demand="diurnal",
-        ramp_share_per_h=args.ramp_share_per_h,
-        drain_share_per_h=args.drain_share_per_h,
-        lookahead_h=lookahead_h,
+        n_gpus=args.n_gpus,
+        duration_h=args.duration_h,
+        routing=RoutingSpec(router=router, lookahead_h=lookahead_h),
+        demand=DemandSpec(
+            kind="diurnal",
+            ramp_share_per_h=args.ramp_share_per_h,
+            drain_share_per_h=args.drain_share_per_h,
+        ),
     )
-    return fleet.run(duration_h=args.duration_h)
+    return Scenario(spec).run()
 
 
 def main() -> None:

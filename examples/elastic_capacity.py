@@ -27,7 +27,14 @@ from __future__ import annotations
 import argparse
 
 from repro.analysis.reporting import format_table
-from repro.fleet import FleetCoordinator, region_by_name
+from repro.scenarios import (
+    DemandSpec,
+    GatingSpec,
+    RegionSpec,
+    RoutingSpec,
+    Scenario,
+    ScenarioSpec,
+)
 
 #: Small clusters + smoke fidelity keep the example interactive (~seconds).
 EXAMPLE_GPUS = 2
@@ -35,21 +42,21 @@ REGIONS = ("us-ciso", "uk-eso", "apac-solar")
 
 
 def run_fleet(router: str, args, gating=None, lookahead_h=None):
-    regions = tuple(region_by_name(n, n_gpus=args.n_gpus) for n in REGIONS)
-    fleet = FleetCoordinator.create(
-        regions,
+    spec = ScenarioSpec(
+        regions=tuple(RegionSpec(name=n) for n in REGIONS),
         application=args.application,
         scheme="clover",
-        router=router,
         fidelity="smoke",
         seed=args.seed,
-        demand="diurnal",
-        ramp_share_per_h=0.10,
-        drain_share_per_h=0.20,
-        lookahead_h=lookahead_h,
-        gating=gating,
+        n_gpus=args.n_gpus,
+        duration_h=args.duration_h,
+        routing=RoutingSpec(router=router, lookahead_h=lookahead_h),
+        demand=DemandSpec(
+            kind="diurnal", ramp_share_per_h=0.10, drain_share_per_h=0.20
+        ),
+        gating=GatingSpec(mode=gating),
     )
-    return fleet.run(duration_h=args.duration_h)
+    return Scenario(spec).run()
 
 
 def main() -> None:

@@ -32,8 +32,14 @@ from __future__ import annotations
 import argparse
 
 from repro.analysis.reporting import format_table
-from repro.fleet import FleetCoordinator, make_gating_policy, region_by_name
-from repro.fleet.routing import make_router
+from repro.scenarios import (
+    DemandSpec,
+    GatingSpec,
+    RegionSpec,
+    RoutingSpec,
+    Scenario,
+    ScenarioSpec,
+)
 
 #: (region, device) provisioning: cheap efficient silicon on the dirty
 #: grid, MIG-capable A100s elsewhere.
@@ -46,27 +52,25 @@ WAKE_ENERGY_J = 1000.0
 
 
 def run_fleet(args, efficiency_weighted: bool = True, router: str = "carbon-greedy"):
-    regions = tuple(
-        region_by_name(name, n_gpus=args.n_gpus, devices=device)
-        for name, device in FLEET
-    )
-    fleet = FleetCoordinator.create(
-        regions,
+    spec = ScenarioSpec(
+        regions=tuple(
+            RegionSpec(name=name, devices=device) for name, device in FLEET
+        ),
         application=args.application,
         scheme="clover",
-        router=(
-            make_router(router, efficiency_weighted=efficiency_weighted)
-            if router != "static"
-            else "static"
-        ),
         fidelity="smoke",
         seed=args.seed,
-        demand="diurnal",
-        ramp_share_per_h=0.10,
-        drain_share_per_h=0.20,
-        gating=make_gating_policy("reactive", wake_energy_j=WAKE_ENERGY_J),
+        n_gpus=args.n_gpus,
+        duration_h=args.duration_h,
+        routing=RoutingSpec(
+            router=router, efficiency_weighted=efficiency_weighted
+        ),
+        demand=DemandSpec(
+            kind="diurnal", ramp_share_per_h=0.10, drain_share_per_h=0.20
+        ),
+        gating=GatingSpec(mode="reactive", wake_energy_j=WAKE_ENERGY_J),
     )
-    return fleet.run(duration_h=args.duration_h)
+    return Scenario(spec).run()
 
 
 def main() -> None:

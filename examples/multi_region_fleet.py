@@ -23,22 +23,25 @@ from __future__ import annotations
 import argparse
 
 from repro.analysis.reporting import format_table
-from repro.fleet import FleetCoordinator, default_fleet_regions
+from repro.scenarios import RegionSpec, RoutingSpec, Scenario, ScenarioSpec
 
 #: Small cluster + smoke fidelity keep the example interactive (~seconds).
 EXAMPLE_GPUS = 2
+REGIONS = ("us-ciso", "uk-eso", "nordic-hydro")
 
 
 def run_fleet(router: str, args) -> "FleetResult":
-    fleet = FleetCoordinator.create(
-        default_fleet_regions(n_gpus=args.n_gpus),
+    spec = ScenarioSpec(
+        regions=tuple(RegionSpec(name=n) for n in REGIONS),
         application=args.application,
         scheme="clover",
-        router=router,
         fidelity="smoke",
         seed=args.seed,
+        n_gpus=args.n_gpus,
+        duration_h=args.duration_h,
+        routing=RoutingSpec(router=router),
     )
-    return fleet.run(duration_h=args.duration_h)
+    return Scenario(spec).run()
 
 
 def main() -> None:

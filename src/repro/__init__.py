@@ -5,53 +5,53 @@ mixed-quality model variants and MIG GPU partitions to trade carbon
 emissions against accuracy under a p95 tail-latency SLA, re-optimizing
 online as grid carbon intensity changes.
 
-Quickstart::
+Quickstart (smoke fidelity and 2-hour runs keep these examples quick):
 
-    from repro import CarbonAwareInferenceService
+>>> from repro import CarbonAwareInferenceService
+>>> service = CarbonAwareInferenceService.create(
+...     application="classification", scheme="clover", fidelity="smoke")
+>>> report = service.run(duration_h=2.0)
+>>> report.total_carbon_g > 0 and len(report.epochs) == 2
+True
 
-    service = CarbonAwareInferenceService.create(
-        application="classification", scheme="clover", seed=0
-    )
-    report = service.run(duration_h=48.0)
-    print(f"carbon: {report.total_carbon_g:.0f} g, "
-          f"accuracy loss: {report.accuracy_loss_pct:.1f}%")
+Multi-region fleets are :class:`ScenarioSpec` descriptions run by a
+:class:`Scenario`:
 
-Multi-region::
-
-    from repro import FleetCoordinator, default_fleet_regions
-
-    fleet = FleetCoordinator.create(
-        default_fleet_regions(), router="carbon-greedy", seed=0
-    )
-    report = fleet.run(duration_h=48.0)
-    print(f"fleet carbon: {report.total_carbon_g:.0f} g, "
-          f"SLA attainment: {100 * report.sla_attainment:.1f}%")
+>>> from repro import RegionSpec, Scenario, ScenarioSpec
+>>> from repro.scenarios import DemandSpec, GatingSpec, RoutingSpec
+>>> regions = tuple(RegionSpec(name=n) for n in ("us-ciso", "uk-eso"))
+>>> spec = ScenarioSpec(
+...     regions=regions + (RegionSpec(name="nordic-hydro"),), n_gpus=2,
+...     fidelity="smoke", duration_h=2.0,
+...     routing=RoutingSpec(router="carbon-greedy"))
+>>> 0.0 <= Scenario(spec).run().sla_attainment <= 1.0
+True
 
 Geo-diurnal demand with forecast-driven proactive routing and elastic
-GPU capacity (idle power follows traffic)::
+GPU capacity (idle power follows traffic):
 
-    from repro import FleetCoordinator, region_by_name
+>>> spec = ScenarioSpec(
+...     regions=regions + (RegionSpec(name="apac-solar"),), n_gpus=4,
+...     fidelity="smoke", duration_h=2.0,
+...     routing=RoutingSpec(router="forecast-aware", lookahead_h=6.0),
+...     demand=DemandSpec(
+...         kind="diurnal", ramp_share_per_h=0.10, drain_share_per_h=0.20),
+...     gating=GatingSpec(mode="forecast"))
+>>> report = Scenario(spec).run()
+>>> 0.0 <= report.user_sla_attainment <= 1.0  # per origin-region pair
+True
+>>> 0.0 < report.mean_awake_fraction <= 1.0
+True
 
-    regions = [region_by_name(n, n_gpus=4)
-               for n in ("us-ciso", "uk-eso", "apac-solar")]
-    fleet = FleetCoordinator.create(
-        regions, router="forecast-aware", demand="diurnal",
-        ramp_share_per_h=0.10, drain_share_per_h=0.20, lookahead_h=6.0,
-        gating="forecast",
-    )
-    report = fleet.run(duration_h=48.0)
-    print(f"user SLA (per origin-region pair): "
-          f"{100 * report.user_sla_attainment:.1f}%, "
-          f"GPUs awake: {100 * report.mean_awake_fraction:.0f}%")
+Heterogeneous GPU generations (routing ranks on gCO2/request):
 
-Heterogeneous GPU generations (routing ranks on gCO2/request)::
-
-    from repro import FleetCoordinator, region_by_name
-
-    regions = [region_by_name("us-ciso", n_gpus=2, devices="a100"),
-               region_by_name("apac-solar", n_gpus=2, devices="l4")]
-    fleet = FleetCoordinator.create(regions, router="carbon-greedy")
-    report = fleet.run(duration_h=48.0)
+>>> spec = ScenarioSpec(
+...     regions=(RegionSpec(name="us-ciso", devices="a100"),
+...              RegionSpec(name="apac-solar", devices="l4")),
+...     n_gpus=2, fidelity="smoke", duration_h=2.0,
+...     routing=RoutingSpec(router="carbon-greedy"))
+>>> sorted(Scenario(spec).run().request_shares)
+['apac-solar', 'us-ciso']
 
 Packages: :mod:`repro.gpu` (MIG substrate), :mod:`repro.models` (Table-1
 model zoo), :mod:`repro.serving` (queueing + DES), :mod:`repro.carbon`

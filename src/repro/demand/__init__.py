@@ -29,8 +29,9 @@ Quickstart::
     model.total_rate(t_h=20.0)  # the fleet's global rate that epoch
     model.total_rates([20.0, 20.5, 21.0])  # a planning horizon, one call
 
-The fleet coordinator accepts a demand model directly; see
-:meth:`repro.fleet.FleetCoordinator.create`.
+A scenario's ``[demand]`` section (:class:`repro.scenarios.DemandSpec`)
+builds the fleet's model; the :class:`repro.fleet.FleetCoordinator`
+constructor also takes a built model with its latency matrix.
 """
 
 from repro.demand.diurnal import (

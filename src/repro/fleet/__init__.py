@@ -25,16 +25,20 @@ deployed configuration's marginal joules/request on the region's own
 silicon), and gated pools always sleep their least-efficient awake device
 first.  An all-A100 fleet keeps the pre-heterogeneity path bit for bit.
 
-Quickstart::
+A :class:`~repro.scenarios.ScenarioSpec` describes a fleet and
+:func:`repro.scenarios.build_coordinator` assembles it (smoke fidelity,
+2-GPU regions and a 2-hour run keep this quick):
 
-    from repro.fleet import FleetCoordinator, default_fleet_regions
-
-    fleet = FleetCoordinator.create(
-        default_fleet_regions(n_gpus=4), router="carbon-greedy",
-        fidelity="smoke", seed=0, gating="reactive",
-    )
-    report = fleet.run(duration_h=24.0)
-    print(report.total_carbon_g, report.mean_awake_fraction)
+>>> from repro.scenarios import (
+...     GatingSpec, RegionSpec, RoutingSpec, Scenario, ScenarioSpec)
+>>> spec = ScenarioSpec(
+...     regions=(RegionSpec(name="us-ciso"), RegionSpec(name="uk-eso")),
+...     n_gpus=2, fidelity="smoke", duration_h=2.0,
+...     routing=RoutingSpec(router="carbon-greedy"),
+...     gating=GatingSpec(mode="reactive"))
+>>> report = Scenario(spec).run()
+>>> report.total_carbon_g > 0 and 0.0 < report.mean_awake_fraction <= 1.0
+True
 """
 
 from repro.fleet.capacity import (

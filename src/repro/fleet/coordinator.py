@@ -16,15 +16,15 @@ Two demand modes:
   region receives precisely its nominal rate every epoch and the resulting
   :class:`~repro.core.controller.RunResult` is bit-for-bit the seed
   :meth:`CarbonAwareInferenceService.run` output.
-* **geo-diurnal** (``demand=`` a :class:`~repro.demand.DemandModel` or a
-  kind name) — per-origin nonstationary rates from :mod:`repro.demand`
-  drive a time-varying global rate; an origin→region
+* **geo-diurnal** (``demand=`` a :class:`~repro.demand.DemandModel`) —
+  per-origin nonstationary rates from :mod:`repro.demand` drive a
+  time-varying global rate; an origin→region
   :class:`~repro.demand.LatencyMatrix` prices every (origin,
-  serving-region) network hop, tightens each region's SLA baseline by its
-  nearest-origin hop (farther origins are charged per pair at routing and
-  judgment time), and each epoch's traffic is placed cell by cell by a
-  pair-aware planner so SLA attainment is charged per (origin, region)
-  pair.  The degenerate
+  serving-region) network hop (assembly tightens each region's SLA
+  baseline by its nearest-origin hop; farther origins are charged per
+  pair at routing and judgment time), and each epoch's traffic is placed
+  cell by cell by a pair-aware planner so SLA attainment is charged per
+  (origin, region) pair.  The degenerate
   ``ConstantDemandModel`` with a single co-located origin reproduces the
   constant path bit-for-bit (asserted in tests).
 
@@ -54,38 +54,18 @@ evaluators price its energy and carbon with no second accounting path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.carbon.forecast import make_forecaster
 from repro.core.controller import EpochCapacity, RunResult
 from repro.core.evaluator import CacheStats
-from repro.core.service import FidelityProfile, PAPER_LAMBDA
-from repro.demand import (
-    DemandModel,
-    LatencyMatrix,
-    assign_origin_traffic,
-    default_demand,
-    default_latency_matrix,
-    default_origins,
-)
-from repro.fleet.capacity import (
-    CapacityManager,
-    GatingPolicy,
-    make_gating_policy,
-)
-from repro.fleet.regional import DEFAULT_MAX_UTILIZATION, RegionalService
+from repro.demand import DemandModel, LatencyMatrix, assign_origin_traffic
+from repro.fleet.capacity import CapacityManager, GatingPolicy
+from repro.fleet.regional import RegionalService
 from repro.fleet.regions import Region
-from repro.fleet.routing import (
-    Router,
-    RoutingContext,
-    make_router,
-    plan_origin_cells,
-)
-from repro.models.perf import PerfModel
-from repro.models.zoo import ModelZoo, default_zoo
-from repro.serving.workload import DEFAULT_BASE_UTILIZATION
+from repro.fleet.routing import Router, RoutingContext, plan_origin_cells
 from repro.shifting import BatchCompletion, BatchJobClass, TemporalScheduler
 
 __all__ = [
@@ -97,7 +77,9 @@ __all__ = [
 ]
 
 #: Share of a region's nominal rate that can never be shifted away —
-#: geo-resident traffic (data-residency, session affinity).
+#: geo-resident traffic (data-residency, session affinity).  Strictly
+#: positive, so every routed rate stays positive (a zero-rate region has
+#: no defined service measurement).
 DEFAULT_FLOOR_SHARE = 0.05
 
 #: Demand-model mean global rate as a fraction of the fleet's nominal
@@ -640,27 +622,28 @@ class FleetResult:
 
 
 class FleetCoordinator:
-    """Runs N regional services under one router and one global workload."""
+    """Runs N regional services under one router and one global workload.
+
+    Takes built parts: :func:`repro.scenarios.build_coordinator` assembles
+    them from a spec, and a caller needing a part no spec can name (a
+    custom region, a router instance) passes
+    :meth:`RegionalService.create` services directly.
+    """
 
     def __init__(
         self,
         services: list[RegionalService],
         router: Router,
-        floor_share: float = DEFAULT_FLOOR_SHARE,
         demand: DemandModel | None = None,
         latency_matrix: LatencyMatrix | None = None,
         ramp_share_per_h: float | None = None,
         drain_share_per_h: float | None = None,
         forecaster: str = "diurnal",
-        gating: GatingPolicy | str | None = None,
+        gating: GatingPolicy | None = None,
         batch: BatchJobClass | None = None,
     ) -> None:
         if not services:
             raise ValueError("a fleet needs at least one region")
-        # A strictly positive floor keeps every routed rate positive (a
-        # zero-rate region has no defined service measurement).
-        if not 0.0 < floor_share < 1.0:
-            raise ValueError(f"floor share must be in (0, 1), got {floor_share}")
         for label, value in (("ramp", ramp_share_per_h), ("drain", drain_share_per_h)):
             if value is not None and value <= 0.0:
                 raise ValueError(
@@ -705,7 +688,6 @@ class FleetCoordinator:
                 )
         self.services = list(services)
         self.router = router
-        self.floor_share = floor_share
         self.demand = demand
         self.latency_matrix = latency_matrix
         self.ramp_share_per_h = ramp_share_per_h
@@ -762,8 +744,6 @@ class FleetCoordinator:
             ]
         # Elastic capacity: one awake/asleep state machine per region.
         # ``None`` keeps the always-on fleet — the bit-for-bit seed path.
-        if isinstance(gating, str):
-            gating = make_gating_policy(gating)
         self.gating = gating
         self.gating_name = (
             None if gating is None
@@ -833,163 +813,6 @@ class FleetCoordinator:
                 for s in self.services
             ]
 
-    @classmethod
-    def create(
-        cls,
-        regions: tuple[Region, ...] | list[Region],
-        application: str = "classification",
-        scheme: str | tuple[str, ...] | list[str] = "clover",
-        router: Router | str = "carbon-greedy",
-        lambda_weight: float = PAPER_LAMBDA,
-        fidelity: FidelityProfile | str = "default",
-        seed: int = 0,
-        utilization: float = DEFAULT_BASE_UTILIZATION,
-        max_utilization: float = DEFAULT_MAX_UTILIZATION,
-        floor_share: float = DEFAULT_FLOOR_SHARE,
-        zoo: ModelZoo | None = None,
-        perf: PerfModel | None = None,
-        demand: DemandModel | str | None = None,
-        origins=None,
-        latency_matrix: LatencyMatrix | None = None,
-        demand_scale: float = DEFAULT_DEMAND_SCALE,
-        ramp_share_per_h: float | None = None,
-        drain_share_per_h: float | None = None,
-        lookahead_h: float | None = None,
-        forecaster: str = "diurnal",
-        gating: GatingPolicy | str | None = None,
-        batch: BatchJobClass | None = None,
-        share_caches: bool = False,
-    ) -> "FleetCoordinator":
-        """Assemble one regional service per region plus the router.
-
-        Region ``i`` gets root seed ``seed + i``, so region 0 of an N=1
-        fleet reproduces the standalone service at the same seed exactly.
-
-        ``scheme`` is one name for a uniform fleet or a per-region tuple
-        aligned with ``regions`` (e.g. ``("co2opt", "clover")`` — run the
-        accuracy-indifferent optimizer where the grid is clean and the
-        balanced one where it is dirty).  ``share_caches=True`` pools the
-        analytic evaluator caches of regions with identical hardware
-        (:func:`share_evaluator_caches`) — results are unchanged, fleet
-        warm-up cost drops.
-
-        ``demand`` may be a built :class:`~repro.demand.DemandModel`
-        (which carries its own origins and mean rate — ``origins`` and
-        ``demand_scale`` then do not apply), a kind name (``"constant"`` /
-        ``"diurnal"`` — the model is built over ``origins`` with mean
-        global rate ``demand_scale`` x the fleet's nominal sizing), or
-        ``None`` for the constant PR-1 workload.  With
-        a demand model, each region's SLA baseline is tightened by its
-        nearest-origin hop from the origin→region matrix (built from
-        zones unless given) instead of the region's scalar registry
-        latency; farther origins' extra hop is charged per (origin,
-        region) pair by the cell planner.  ``lookahead_h`` overrides a
-        forecast-aware
-        router's horizon; ``ramp_share_per_h`` / ``drain_share_per_h``
-        bound how fast a region's share may grow / shrink per hour
-        (``None`` = unconstrained, the PR-1 semantics).  ``gating`` turns
-        on elastic GPU capacity: a :class:`~repro.fleet.GatingPolicy`, or
-        a mode name (``"reactive"`` wakes on observed shortfall,
-        ``"forecast"`` additionally pre-wakes from the router's lookahead
-        hints); ``None`` keeps every GPU always on.  ``batch`` adds a
-        deferrable :class:`~repro.shifting.BatchJobClass` the temporal
-        scheduler shifts into forecast-clean epochs (``None`` keeps the
-        interactive-only pipeline bit-for-bit).
-        """
-        if isinstance(fidelity, str):
-            fidelity = FidelityProfile.by_name(fidelity)
-        zoo = zoo or default_zoo()
-        perf = perf or PerfModel()
-        if isinstance(scheme, str):
-            schemes: tuple[str, ...] = (scheme,) * len(regions)
-        else:
-            schemes = tuple(scheme)
-            if len(schemes) != len(regions):
-                raise ValueError(
-                    f"{len(schemes)} schemes for {len(regions)} regions"
-                )
-        if isinstance(router, str):
-            router = make_router(router)
-        if lookahead_h is not None:
-            if not hasattr(router, "lookahead_h"):
-                raise ValueError(
-                    f"router {router.name!r} takes no lookahead horizon"
-                )
-            # Copy instead of mutating the caller's instance; the dataclass
-            # constructor re-runs __post_init__, so an invalid horizon
-            # raises here rather than silently misconfiguring the run.
-            router = replace(router, lookahead_h=lookahead_h)
-
-        demand_model = None
-        if demand is not None:
-            if isinstance(demand, DemandModel):
-                if origins is not None:
-                    raise ValueError(
-                        "a built demand model carries its own origins; "
-                        "pass origins only with a demand kind name"
-                    )
-                demand_model = demand
-                model_origins = demand.origins
-            else:
-                model_origins = tuple(origins) if origins else default_origins()
-            if latency_matrix is None:
-                latency_matrix = default_latency_matrix(model_origins, regions)
-            # At assembly the SLA baseline is tightened by the region's
-            # *nearest-origin* hop — the resident users the datacenter is
-            # provisioned for.  The extra hop of every farther origin is
-            # charged at routing time, per (origin, region) cell, by
-            # plan_origin_cells' budget bisections, and again when
-            # attainment is judged (user_sla_attainment).
-            effective = latency_matrix.nearest_origin_latency()
-            regions = tuple(
-                replace(region, net_latency_ms=float(lat))
-                for region, lat in zip(regions, effective)
-            )
-
-        services = [
-            RegionalService.create(
-                region=region,
-                application=application,
-                scheme=schemes[i],
-                lambda_weight=lambda_weight,
-                fidelity=fidelity,
-                seed=seed + i,
-                utilization=utilization,
-                max_utilization=max_utilization,
-                zoo=zoo,
-                perf=perf,
-            )
-            for i, region in enumerate(regions)
-        ]
-        if share_caches:
-            share_evaluator_caches(services)
-
-        if demand is not None and demand_model is None:
-            if not 0.0 < demand_scale <= 1.0:
-                raise ValueError(
-                    f"demand scale must be in (0, 1], got {demand_scale}"
-                )
-            # At demand_scale=1.0 the mean is *exactly* the nominal global
-            # rate (1.0 * x == x in IEEE): the bit-for-bit anchor.
-            mean_rate = demand_scale * float(
-                sum(s.nominal_rate_per_s for s in services)
-            )
-            demand_model = default_demand(
-                mean_rate, kind=demand, origins=model_origins
-            )
-        return cls(
-            services,
-            router,
-            floor_share=floor_share,
-            demand=demand_model,
-            latency_matrix=latency_matrix,
-            ramp_share_per_h=ramp_share_per_h,
-            drain_share_per_h=drain_share_per_h,
-            forecaster=forecaster,
-            gating=gating,
-            batch=batch,
-        )
-
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
@@ -1033,7 +856,7 @@ class FleetCoordinator:
             nominal_rates=self._nominal,
             capacity_rates=self._capacity,
             sla_cap_rates=sla_caps,
-            floor_rates=self.floor_share * self._nominal,
+            floor_rates=DEFAULT_FLOOR_SHARE * self._nominal,
             forecast_ci=forecast,
             lookahead_h=lookahead,
             prev_shares=prev_shares,
@@ -1338,8 +1161,8 @@ class FleetCoordinator:
         drive's *simulation results* — every rate, p95, energy and carbon
         number — bit-for-bit identical to the serial one; only the
         epoch's wall-clock changes.  The one non-physical exception:
-        with caches pooled across regions (``share_caches``), *which*
-        racing region gets counted the miss for a shared entry is
+        with caches pooled across regions (a spec's ``shared_cache``),
+        *which* racing region gets counted the miss for a shared entry is
         timing-dependent, so per-region hit/miss diagnostics may
         attribute warm-up work differently between parallel runs.
         ``None``/``1`` keeps the serial driver (fully deterministic,
@@ -1348,10 +1171,10 @@ class FleetCoordinator:
         Runs are deterministic given the construction seed.  A minimal
         single-region fleet at smoke fidelity (hourly epochs):
 
-        >>> from repro.fleet import FleetCoordinator, region_by_name
-        >>> fleet = FleetCoordinator.create(
-        ...     [region_by_name("us-ciso", n_gpus=2)], router="static",
-        ...     scheme="base", fidelity="smoke", seed=0)
+        >>> from repro.scenarios import RegionSpec, Scenario, ScenarioSpec
+        >>> fleet = Scenario(ScenarioSpec(
+        ...     regions=(RegionSpec(name="us-ciso"),), scheme="base",
+        ...     fidelity="smoke", n_gpus=2)).build()
         >>> result = fleet.run(duration_h=2.0)
         >>> len(result.results[0].epochs)
         2
@@ -1461,7 +1284,7 @@ class FleetCoordinator:
                         measured_p95_ms=measured,
                         prev_plan=prev_plan,
                         session_keep_frac=self._session_keep,
-                        resident_floor_share=self.floor_share,
+                        resident_floor_share=DEFAULT_FLOOR_SHARE,
                     )
                     rates = plan.sum(axis=0)
                     prev_plan = plan

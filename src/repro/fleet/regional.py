@@ -91,9 +91,6 @@ class RegionalService:
         lambda_weight: float = PAPER_LAMBDA,
         fidelity: FidelityProfile | str = "default",
         seed: int = 0,
-        utilization: float = DEFAULT_BASE_UTILIZATION,
-        max_utilization: float = DEFAULT_MAX_UTILIZATION,
-        accuracy_floor_pct: float | None = None,
         zoo: ModelZoo | None = None,
         perf: PerfModel | None = None,
     ) -> "RegionalService":
@@ -105,12 +102,10 @@ class RegionalService:
         scheme decision inside the region already accounts for the hop its
         users pay.  A region with zero network latency gets the untouched
         seed baseline — the N=1 equivalence path.
+
+        Every region of a fleet gets the same ``zoo`` and ``perf``: only
+        evaluators pricing the same objects may pool their caches.
         """
-        if not utilization < max_utilization < 1.0:
-            raise ValueError(
-                f"need utilization < max_utilization < 1, got "
-                f"{utilization} and {max_utilization}"
-            )
         if isinstance(fidelity, str):
             fidelity = FidelityProfile.by_name(fidelity)
         zoo = zoo or default_zoo()
@@ -123,7 +118,7 @@ class RegionalService:
             pool = None
         scale_sum = None if pool is None else pool.throughput_scale_sum
         nominal = default_rate(
-            fam, perf, region.n_gpus, utilization,
+            fam, perf, region.n_gpus, DEFAULT_BASE_UTILIZATION,
             throughput_scale_sum=scale_sum,
         )
         baseline = derive_baseline(
@@ -156,8 +151,7 @@ class RegionalService:
             trace=region.trace,
             zoo=zoo,
             perf=perf,
-            utilization=utilization,
-            accuracy_floor_pct=accuracy_floor_pct,
+            utilization=DEFAULT_BASE_UTILIZATION,
             fidelity=fidelity,
             pue=region.pue,
             seed=seed,
@@ -165,7 +159,7 @@ class RegionalService:
             device_pool=pool,
         )
         full = default_rate(
-            fam, perf, region.n_gpus, max_utilization,
+            fam, perf, region.n_gpus, DEFAULT_MAX_UTILIZATION,
             throughput_scale_sum=scale_sum,
         )
         per_gpu_capacity = None
@@ -175,7 +169,9 @@ class RegionalService:
                 unit * s for s in pool.throughput_scales()
             )
         energies = tuple(
-            p.reference_energy_per_request_j(perf, fam.largest, utilization)
+            p.reference_energy_per_request_j(
+                perf, fam.largest, DEFAULT_BASE_UTILIZATION
+            )
             for p in (pool.profiles if pool is not None else ())
         )
         return cls(
@@ -187,7 +183,7 @@ class RegionalService:
             device_capacity_rates=per_gpu_capacity,
             device_energies_j=energies or None,
             reference_energy_j=A100_PROFILE.reference_energy_per_request_j(
-                perf, fam.largest, utilization
+                perf, fam.largest, DEFAULT_BASE_UTILIZATION
             ),
         )
 

@@ -1,9 +1,11 @@
 """Scenario: validate a ScenarioSpec, assemble the fleet, run it.
 
-The one place spec fields turn into built objects: region registry
-lookups, device pools, router construction (with the intensity-only
-ablation), gating policies, batch classes and per-region schemes all
-happen here, so two equal specs always build the identical coordinator.
+:func:`build_coordinator` is the only place a fleet is assembled: region
+registry lookups, device pools, the origin latency matrix, regional
+services, cache pooling, the demand model, router construction (with the
+intensity-only ablation), gating policies, batch classes and per-region
+schemes all happen here, so two equal specs always build the identical
+coordinator.
 
 >>> from repro.scenarios import RegionSpec, ScenarioSpec
 >>> spec = ScenarioSpec(
@@ -20,13 +22,22 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core.service import FidelityProfile
+from repro.demand import (
+    default_demand,
+    default_latency_matrix,
+    default_origins,
+)
 from repro.fleet import (
     FleetCoordinator,
     FleetResult,
+    RegionalService,
     make_gating_policy,
     make_router,
     region_by_name,
+    share_evaluator_caches,
 )
+from repro.models.perf import PerfModel
+from repro.models.zoo import default_zoo
 from repro.scenarios.spec import ScenarioSpec
 from repro.shifting import BatchJobClass
 
@@ -36,7 +47,9 @@ __all__ = ["Scenario", "build_coordinator", "execute_spec"]
 def build_coordinator(spec: ScenarioSpec) -> FleetCoordinator:
     """Assemble the :class:`FleetCoordinator` a spec describes.
 
-    Pure construction — no simulation runs.  Raises ``KeyError`` /
+    Pure construction — no simulation runs.  Region ``i`` gets root seed
+    ``spec.seed + i``, so region 0 of an N=1 fleet reproduces the
+    standalone service at the same seed exactly.  Raises ``KeyError`` /
     ``ValueError`` with registry listings on anything the spec-level
     validation could not see (e.g. a device tuple whose length disagrees
     with the region's GPU count).
@@ -53,6 +66,64 @@ def build_coordinator(spec: ScenarioSpec) -> FleetCoordinator:
         regions = tuple(
             replace(r, net_latency_ms=spec.net_latency_ms) for r in regions
         )
+
+    origins = latency_matrix = None
+    if spec.demand.kind is not None:
+        origins = default_origins()
+        latency_matrix = default_latency_matrix(origins, regions)
+        # The SLA baseline is tightened by the region's *nearest-origin*
+        # hop — the resident users the datacenter is provisioned for.  The
+        # extra hop of every farther origin is charged at routing time,
+        # per (origin, region) cell, by plan_origin_cells' budget
+        # bisections, and again when attainment is judged
+        # (user_sla_attainment).
+        regions = tuple(
+            replace(region, net_latency_ms=float(lat))
+            for region, lat in zip(
+                regions, latency_matrix.nearest_origin_latency()
+            )
+        )
+
+    # One zoo and one perf oracle for the whole fleet: default_zoo()
+    # returns a new object per call, and share_evaluator_caches pools
+    # only evaluators that price the same objects.
+    zoo, perf = default_zoo(), PerfModel()
+    fidelity = FidelityProfile.by_name(spec.fidelity)
+    services = [
+        RegionalService.create(
+            region=region,
+            application=spec.application,
+            scheme=scheme,
+            lambda_weight=spec.lambda_weight,
+            fidelity=fidelity,
+            seed=spec.seed + i,
+            zoo=zoo,
+            perf=perf,
+        )
+        for i, (region, scheme) in enumerate(zip(regions, spec.region_schemes))
+    ]
+    if spec.shared_cache:
+        share_evaluator_caches(services)
+
+    demand = None
+    if spec.demand.kind is not None:
+        # At scale 1.0 the mean is *exactly* the nominal global rate
+        # (1.0 * x == x in IEEE): the bit-for-bit anchor.
+        mean_rate = spec.demand.scale * float(
+            sum(s.nominal_rate_per_s for s in services)
+        )
+        demand = default_demand(
+            mean_rate, kind=spec.demand.kind, origins=origins
+        )
+
+    router_kwargs = {}
+    if spec.routing.lookahead_h is not None:
+        router_kwargs["lookahead_h"] = spec.routing.lookahead_h
+    if not spec.routing.efficiency_weighted:
+        # Spec validation already restricted both keywords to the
+        # routers that take them.
+        router_kwargs["efficiency_weighted"] = False
+    router = make_router(spec.routing.router, **router_kwargs)
 
     gating = None
     if spec.gating.mode is not None:
@@ -77,32 +148,16 @@ def build_coordinator(spec: ScenarioSpec) -> FleetCoordinator:
         }
         batch = BatchJobClass(jobs_per_h=spec.batch.jobs_per_h, **overrides)
 
-    router = spec.routing.router
-    if not spec.routing.efficiency_weighted:
-        # Spec validation already restricted this to the rankings that
-        # carry the energy term.
-        router = make_router(router, efficiency_weighted=False)
-
-    schemes = spec.region_schemes
-    scheme = schemes[0] if len(set(schemes)) == 1 else schemes
-
-    return FleetCoordinator.create(
-        regions,
-        application=spec.application,
-        scheme=scheme,
-        router=router,
-        lambda_weight=spec.lambda_weight,
-        fidelity=FidelityProfile.by_name(spec.fidelity),
-        seed=spec.seed,
-        demand=spec.demand.kind,
-        demand_scale=spec.demand.scale,
+    return FleetCoordinator(
+        services,
+        router,
+        demand=demand,
+        latency_matrix=latency_matrix,
         ramp_share_per_h=spec.demand.ramp_share_per_h,
         drain_share_per_h=spec.demand.drain_share_per_h,
-        lookahead_h=spec.routing.lookahead_h,
         forecaster=spec.routing.forecaster,
         gating=gating,
         batch=batch,
-        share_caches=spec.shared_cache,
     )
 
 

@@ -37,6 +37,7 @@ from repro.carbon.forecast import FORECASTER_NAMES
 from repro.core.schemes import SCHEME_NAMES
 from repro.core.service import PAPER_LAMBDA, PAPER_N_GPUS
 from repro.fleet.capacity import GATING_MODES
+from repro.fleet.coordinator import DEFAULT_DEMAND_SCALE
 from repro.fleet.regions import REGION_NAMES
 from repro.fleet.routing import ROUTER_NAMES
 from repro.gpu.profiles import DEVICE_NAMES
@@ -66,6 +67,9 @@ DEMAND_KINDS = ("constant", "diurnal")
 #: Routers whose ranking carries the efficiency term (the only ones the
 #: ``efficiency_weighted=False`` ablation applies to).
 EFFICIENCY_ROUTERS = ("carbon-greedy", "forecast-aware")
+
+#: Routers with a forecast horizon (the only ones ``lookahead_h`` applies to).
+LOOKAHEAD_ROUTERS = ("forecast-aware",)
 
 
 def _choice(label: str, value: str, valid: tuple[str, ...]) -> str:
@@ -136,7 +140,7 @@ class DemandSpec:
     """
 
     kind: str | None = None
-    scale: float = 0.8
+    scale: float = DEFAULT_DEMAND_SCALE
     ramp_share_per_h: float | None = None
     drain_share_per_h: float | None = None
 
@@ -161,10 +165,11 @@ class DemandSpec:
 class RoutingSpec:
     """The traffic-splitting policy and its forecast knobs.
 
-    ``lookahead_h`` overrides a forecast-aware router's horizon;
-    ``efficiency_weighted=False`` downgrades the carbon-greedy /
-    forecast-aware rankings to intensity-only (the heterogeneity
-    ablation; an error on routers that never carry the energy term).
+    ``lookahead_h`` overrides a forecast-aware router's horizon (an error
+    on routers without one); ``efficiency_weighted=False`` downgrades the
+    carbon-greedy / forecast-aware rankings to intensity-only (the
+    heterogeneity ablation; an error on routers that never carry the
+    energy term).
     """
 
     router: str = "static"
@@ -178,6 +183,14 @@ class RoutingSpec:
         if self.lookahead_h is not None and self.lookahead_h < 0.0:
             raise ValueError(
                 f"lookahead must be non-negative, got {self.lookahead_h}"
+            )
+        if (
+            self.lookahead_h is not None
+            and self.router not in LOOKAHEAD_ROUTERS
+        ):
+            raise ValueError(
+                f"router {self.router!r} takes no lookahead horizon "
+                f"(lookahead_h applies to: {', '.join(LOOKAHEAD_ROUTERS)})"
             )
         if not self.efficiency_weighted and self.router not in EFFICIENCY_ROUTERS:
             raise ValueError(
@@ -304,7 +317,8 @@ class ScenarioSpec:
     net_latency_ms:
         Override every region's registry network latency (the
         paper-faithful fig16 path pins 0.0); ``None`` keeps registry
-        values.
+        values.  Constant demand only: with a demand kind each region's
+        latency is its nearest-origin hop.
     routing, demand, gating, batch:
         The composable sub-specs (``batch`` adds a deferrable workload
         the temporal scheduler shifts into clean epochs).
@@ -370,6 +384,14 @@ class ScenarioSpec:
             raise ValueError(
                 "demand scale has no effect without a demand kind; set "
                 f"kind to one of: {', '.join(DEMAND_KINDS)}"
+            )
+        # A demand model prices each region's hop from the origin latency
+        # matrix, so a fleet-wide override would be silently discarded.
+        if self.demand.kind is not None and self.net_latency_ms is not None:
+            raise ValueError(
+                "net_latency_ms has no effect with a demand kind: each "
+                "region's latency is its nearest-origin hop; drop "
+                "net_latency_ms or the demand kind"
             )
 
     # ------------------------------------------------------------------ #

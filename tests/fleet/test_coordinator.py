@@ -6,12 +6,13 @@ import pytest
 from repro.carbon.traces import ciso_march_48h
 from repro.core.service import CarbonAwareInferenceService
 from repro.fleet import (
+    DEFAULT_FLOOR_SHARE,
     FleetCoordinator,
     Region,
+    RegionalService,
     StaticRouter,
-    default_fleet_regions,
-    region_by_name,
 )
+from repro.scenarios import RegionSpec, RoutingSpec, Scenario, ScenarioSpec
 
 #: Small clusters + smoke fidelity keep the fleet tests in CI budget.
 GPUS = 2
@@ -28,18 +29,36 @@ def solo_region(net_latency_ms=0.0):
     )
 
 
+def solo_service(scheme="base", seed=0, net_latency_ms=0.0):
+    return RegionalService.create(
+        solo_region(net_latency_ms),
+        application="classification",
+        scheme=scheme,
+        fidelity="smoke",
+        seed=seed,
+    )
+
+
+def fleet_spec(names, router="static", **overrides):
+    return ScenarioSpec(
+        regions=tuple(RegionSpec(name=n) for n in names),
+        n_gpus=GPUS,
+        fidelity="smoke",
+        routing=RoutingSpec(router=router),
+        **overrides,
+    )
+
+
 @pytest.fixture(scope="module")
 def three_region_runs():
     """static vs carbon-greedy on the default 3-region fleet (24 h)."""
     out = {}
     for router in ("static", "carbon-greedy"):
-        fleet = FleetCoordinator.create(
-            default_fleet_regions(n_gpus=GPUS),
-            scheme="clover",
-            router=router,
-            fidelity="smoke",
-            seed=0,
-        )
+        fleet = Scenario(
+            fleet_spec(
+                ("us-ciso", "uk-eso", "nordic-hydro"), router, scheme="clover"
+            )
+        ).build()
         out[router] = (fleet, fleet.run(duration_h=24.0))
     return out
 
@@ -49,13 +68,8 @@ class TestSingleRegionEquivalence:
     def test_static_n1_reproduces_seed_service_exactly(self, scheme):
         """The acceptance bar: one region + static router == the seed
         CarbonAwareInferenceService.run, bit for bit."""
-        fleet = FleetCoordinator.create(
-            [solo_region()],
-            application="classification",
-            scheme=scheme,
-            router="static",
-            fidelity="smoke",
-            seed=7,
+        fleet = FleetCoordinator(
+            [solo_service(scheme, seed=7)], StaticRouter()
         )
         fleet_result = fleet.run(duration_h=6.0)
 
@@ -81,10 +95,7 @@ class TestSingleRegionEquivalence:
             assert fe.config_label == se.config_label
 
     def test_n1_default_duration_is_trace_span(self):
-        fleet = FleetCoordinator.create(
-            [solo_region()], scheme="base", router="static",
-            fidelity="smoke", seed=0,
-        )
+        fleet = FleetCoordinator([solo_service()], StaticRouter())
         assert fleet.run().duration_h == pytest.approx(48.0)
 
 
@@ -119,29 +130,18 @@ class TestCapacityAndSla:
     def test_floor_traffic_always_served(self, three_region_runs):
         fleet, result = three_region_runs["carbon-greedy"]
         for service, run in zip(fleet.services, result.results):
-            floor = fleet.floor_share * service.nominal_rate_per_s
+            floor = DEFAULT_FLOOR_SHARE * service.nominal_rate_per_s
             for e in run.epochs:
                 assert e.rate_per_s >= floor * (1 - 1e-9)
 
     def test_remote_region_sla_tightened_by_network_latency(self):
-        near = FleetCoordinator.create(
-            [solo_region(net_latency_ms=0.0)], scheme="base",
-            router="static", fidelity="smoke", seed=0,
-        )
-        far = FleetCoordinator.create(
-            [solo_region(net_latency_ms=15.0)], scheme="base",
-            router="static", fidelity="smoke", seed=0,
-        )
-        near_sla = near.services[0].sla_target_ms
-        far_sla = far.services[0].sla_target_ms
+        near_sla = solo_service(net_latency_ms=0.0).sla_target_ms
+        far_sla = solo_service(net_latency_ms=15.0).sla_target_ms
         assert far_sla == pytest.approx(near_sla - 15.0)
 
     def test_unreachable_region_rejected(self):
         with pytest.raises(ValueError, match="never"):
-            FleetCoordinator.create(
-                [solo_region(net_latency_ms=10_000.0)], scheme="base",
-                router="static", fidelity="smoke", seed=0,
-            )
+            solo_service(net_latency_ms=10_000.0)
 
 
 class TestLoadShiftingWins:
@@ -204,9 +204,8 @@ class TestFleetResult:
 class TestValidation:
     def test_duplicate_region_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            FleetCoordinator.create(
-                [solo_region(), solo_region()], scheme="base",
-                router="static", fidelity="smoke", seed=0,
+            FleetCoordinator(
+                [solo_service(seed=0), solo_service(seed=1)], StaticRouter()
             )
 
     def test_empty_fleet_rejected(self):
@@ -214,18 +213,8 @@ class TestValidation:
             FleetCoordinator([], StaticRouter())
 
     def test_region_seeds_differ(self):
-        fleet = FleetCoordinator.create(
-            [region_by_name("us-ciso", n_gpus=GPUS),
-             region_by_name("uk-eso", n_gpus=GPUS)],
-            scheme="base", router="static", fidelity="smoke", seed=3,
-        )
+        fleet = Scenario(
+            fleet_spec(("us-ciso", "uk-eso"), scheme="base", seed=3)
+        ).build()
         seeds = {s.service.controller.measure_evaluator.seed for s in fleet.services}
         assert len(seeds) == 2
-
-    def test_zero_floor_share_rejected(self):
-        """A zero floor could route a zero rate (undefined measurement)."""
-        with pytest.raises(ValueError, match="floor share"):
-            FleetCoordinator.create(
-                [solo_region()], scheme="base", router="static",
-                fidelity="smoke", seed=0, floor_share=0.0,
-            )

@@ -18,28 +18,67 @@ from repro.demand import (
     DiurnalDemandModel,
     GeoOrigin,
     LatencyMatrix,
+    default_demand,
     default_origins,
 )
-from repro.fleet import FleetCoordinator, Region, region_by_name
+from repro.fleet import (
+    FleetCoordinator,
+    Region,
+    RegionalService,
+    StaticRouter,
+    region_by_name,
+)
+from repro.scenarios import (
+    DemandSpec,
+    RegionSpec,
+    RoutingSpec,
+    Scenario,
+    ScenarioSpec,
+)
 
 GPUS = 2
 DEMAND_REGIONS = ("us-ciso", "uk-eso", "apac-solar")
 RAMP, DRAIN, LOOKAHEAD = 0.10, 0.20, 6.0
 
 
-def demand_fleet(router, **kwargs):
-    regions = tuple(region_by_name(n, n_gpus=GPUS) for n in DEMAND_REGIONS)
-    return FleetCoordinator.create(
-        regions,
+def demand_spec(router, regions=DEMAND_REGIONS, lookahead_h=None):
+    return ScenarioSpec(
+        regions=tuple(RegionSpec(name=n) for n in regions),
         application="classification",
         scheme="clover",
-        router=router,
         fidelity="smoke",
         seed=0,
-        demand="diurnal",
-        ramp_share_per_h=RAMP,
-        drain_share_per_h=DRAIN,
-        **kwargs,
+        n_gpus=GPUS,
+        routing=RoutingSpec(router=router, lookahead_h=lookahead_h),
+        demand=DemandSpec(
+            kind="diurnal", ramp_share_per_h=RAMP, drain_share_per_h=DRAIN
+        ),
+    )
+
+
+def demand_fleet(router, **kwargs):
+    return Scenario(demand_spec(router, **kwargs)).build()
+
+
+def solo_constant_demand_fleet(scheme, seed):
+    """One co-located origin at zero latency, demand at the nominal rate."""
+    region = Region(
+        name="solo", trace=ciso_march_48h(), pue=1.5,
+        net_latency_ms=0.0, n_gpus=GPUS,
+    )
+    service = RegionalService.create(
+        region, application="classification", scheme=scheme,
+        fidelity="smoke", seed=seed,
+    )
+    return FleetCoordinator(
+        [service],
+        StaticRouter(),
+        demand=default_demand(
+            service.nominal_rate_per_s,
+            kind="constant",
+            origins=(GeoOrigin("local", 1.0, 0.0, "na"),),
+        ),
+        latency_matrix=LatencyMatrix(("local",), ("solo",), np.zeros((1, 1))),
     )
 
 
@@ -61,22 +100,7 @@ class TestConstantDemandSeedEquivalence:
     def test_n1_constant_demand_is_bit_for_bit_seed(self):
         """One co-located origin, zero network, constant demand at the
         nominal rate: the fleet path IS the seed service, exactly."""
-        region = Region(
-            name="solo", trace=ciso_march_48h(), pue=1.5,
-            net_latency_ms=0.0, n_gpus=GPUS,
-        )
-        fleet = FleetCoordinator.create(
-            [region],
-            application="classification",
-            scheme="clover",
-            router="static",
-            fidelity="smoke",
-            seed=7,
-            demand="constant",
-            origins=(GeoOrigin("local", 1.0, 0.0, "na"),),
-            latency_matrix=LatencyMatrix(("local",), ("solo",), np.zeros((1, 1))),
-            demand_scale=1.0,
-        )
+        fleet = solo_constant_demand_fleet("clover", seed=7)
         fleet_result = fleet.run(duration_h=6.0)
 
         service = CarbonAwareInferenceService.create(
@@ -96,17 +120,7 @@ class TestConstantDemandSeedEquivalence:
             assert fe.config_label == se.config_label
 
     def test_n1_constant_demand_reports_demand_views(self):
-        region = Region(
-            name="solo", trace=ciso_march_48h(), pue=1.5,
-            net_latency_ms=0.0, n_gpus=GPUS,
-        )
-        fleet = FleetCoordinator.create(
-            [region], scheme="base", router="static", fidelity="smoke",
-            seed=0, demand="constant",
-            origins=(GeoOrigin("local", 1.0, 0.0, "na"),),
-            latency_matrix=LatencyMatrix(("local",), ("solo",), np.zeros((1, 1))),
-            demand_scale=1.0,
-        )
+        fleet = solo_constant_demand_fleet("base", seed=0)
         result = fleet.run(duration_h=3.0)
         assert result.has_demand
         assert result.origin_request_shares == {"local": pytest.approx(1.0)}
@@ -242,11 +256,12 @@ class TestDemandReporting:
         assert len(headers) == len(rows[0])
 
     def test_demand_views_rejected_without_demand(self):
-        fleet = FleetCoordinator.create(
-            [region_by_name("us-ciso", n_gpus=GPUS)],
-            scheme="base", router="static", fidelity="smoke", seed=0,
+        spec = ScenarioSpec(
+            regions=(RegionSpec(name="us-ciso"),),
+            scheme="base", fidelity="smoke", seed=0, n_gpus=GPUS,
+            routing=RoutingSpec(router="static"),
         )
-        result = fleet.run(duration_h=2.0)
+        result = Scenario(spec).build().run(duration_h=2.0)
         assert not result.has_demand
         with pytest.raises(ValueError, match="demand"):
             _ = result.origin_request_shares
@@ -257,13 +272,9 @@ class TestKeepAlive:
         """Two regions in one zone: the one that is nobody's nearest
         origin must still be planned a keep-alive rate every epoch (a
         zero-rate region has no defined service measurement)."""
-        regions = tuple(
-            region_by_name(n, n_gpus=GPUS)
-            for n in ("us-ciso", "uk-eso", "nordic-hydro")  # two eu zones
-        )
-        fleet = FleetCoordinator.create(
-            regions, router="forecast-aware", fidelity="smoke", seed=0,
-            demand="diurnal", ramp_share_per_h=RAMP, drain_share_per_h=DRAIN,
+        fleet = demand_fleet(
+            "forecast-aware",
+            regions=("us-ciso", "uk-eso", "nordic-hydro"),  # two eu zones
             lookahead_h=LOOKAHEAD,
         )
         result = fleet.run(duration_h=6.0)
@@ -277,10 +288,22 @@ class TestKeepAlive:
         a shared instance routes identically to a fresh one."""
         from repro.fleet import ForecastAwareRouter
 
+        def routed_by(router):
+            """A fresh demand fleet's built parts under ``router``."""
+            parts = demand_fleet("forecast-aware", lookahead_h=LOOKAHEAD)
+            return FleetCoordinator(
+                parts.services,
+                router,
+                demand=parts.demand,
+                latency_matrix=parts.latency_matrix,
+                ramp_share_per_h=RAMP,
+                drain_share_per_h=DRAIN,
+            )
+
         shared = ForecastAwareRouter(lookahead_h=LOOKAHEAD)
-        demand_fleet(shared).run(duration_h=6.0)
-        reused = demand_fleet(shared).run(duration_h=6.0)
-        fresh = demand_fleet(
+        routed_by(shared).run(duration_h=6.0)
+        reused = routed_by(shared).run(duration_h=6.0)
+        fresh = routed_by(
             ForecastAwareRouter(lookahead_h=LOOKAHEAD)
         ).run(duration_h=6.0)
         assert reused.total_carbon_g == fresh.total_carbon_g
@@ -296,31 +319,26 @@ class TestValidation:
         bad_matrix = LatencyMatrix(
             ("someone-else",), ("us-ciso",), np.zeros((1, 1))
         )
+        service = RegionalService.create(region, fidelity="smoke")
         with pytest.raises(ValueError, match="origins"):
-            FleetCoordinator.create(
-                [region], router="static", fidelity="smoke",
+            FleetCoordinator(
+                [service], StaticRouter(),
                 demand=model, latency_matrix=bad_matrix,
             )
 
     def test_unknown_demand_kind_rejected(self):
-        region = region_by_name("us-ciso", n_gpus=GPUS)
         with pytest.raises(ValueError, match="demand kind"):
-            FleetCoordinator.create(
-                [region], router="static", fidelity="smoke", demand="chaotic",
-            )
+            DemandSpec(kind="chaotic")
 
     def test_lookahead_on_nonforecast_router_rejected(self):
-        region = region_by_name("us-ciso", n_gpus=GPUS)
         with pytest.raises(ValueError, match="lookahead"):
-            FleetCoordinator.create(
-                [region], router="static", fidelity="smoke",
-                demand="diurnal", lookahead_h=4.0,
-            )
+            demand_spec("static", regions=("us-ciso",), lookahead_h=4.0)
 
     def test_bad_ramp_rejected(self):
-        region = region_by_name("us-ciso", n_gpus=GPUS)
         with pytest.raises(ValueError, match="ramp"):
-            FleetCoordinator.create(
-                [region], router="static", fidelity="smoke",
-                demand="diurnal", ramp_share_per_h=-0.1,
-            )
+            DemandSpec(kind="diurnal", ramp_share_per_h=-0.1)
+        service = RegionalService.create(
+            region_by_name("us-ciso", n_gpus=GPUS), fidelity="smoke"
+        )
+        with pytest.raises(ValueError, match="ramp"):
+            FleetCoordinator([service], StaticRouter(), ramp_share_per_h=-0.1)

@@ -7,8 +7,22 @@ from hypothesis import given, settings, strategies as st
 from repro.carbon.traces import ciso_march_48h
 from repro.core.controller import EpochCapacity
 from repro.core.service import CarbonAwareInferenceService
-from repro.fleet import FleetCoordinator, GatingPolicy, Region, region_by_name
+from repro.fleet import (
+    FleetCoordinator,
+    GatingPolicy,
+    Region,
+    RegionalService,
+    StaticRouter,
+)
 from repro.gpu.profiles import A100_PROFILE
+from repro.scenarios import (
+    DemandSpec,
+    GatingSpec,
+    RegionSpec,
+    RoutingSpec,
+    Scenario,
+    ScenarioSpec,
+)
 
 GPUS = 2
 DEMAND_REGIONS = ("us-ciso", "uk-eso", "apac-solar")
@@ -24,22 +38,20 @@ def solo_region(net_latency_ms=0.0):
     )
 
 
-def demand_fleet(router="carbon-greedy", gating=None, lookahead_h=None):
-    regions = tuple(
-        region_by_name(n, n_gpus=GPUS) for n in DEMAND_REGIONS
-    )
-    return FleetCoordinator.create(
-        regions,
+def demand_fleet(gating=None):
+    spec = ScenarioSpec(
+        regions=tuple(RegionSpec(name=n) for n in DEMAND_REGIONS),
         scheme="clover",
-        router=router,
         fidelity="smoke",
         seed=0,
-        demand="diurnal",
-        ramp_share_per_h=0.10,
-        drain_share_per_h=0.20,
-        lookahead_h=lookahead_h,
-        gating=gating,
+        n_gpus=GPUS,
+        routing=RoutingSpec(router="carbon-greedy"),
+        demand=DemandSpec(
+            kind="diurnal", ramp_share_per_h=0.10, drain_share_per_h=0.20
+        ),
+        gating=GatingSpec(mode=gating),
     )
+    return Scenario(spec).build()
 
 
 @pytest.fixture(scope="module")
@@ -55,14 +67,10 @@ class TestGatingDisabledEquivalence:
         """The acceptance bar: gating disabled changes nothing — the N=1
         constant-demand fleet still reproduces the seed service exactly,
         epoch by epoch."""
-        fleet = FleetCoordinator.create(
-            [solo_region()],
-            scheme="clover",
-            router="static",
-            fidelity="smoke",
-            seed=7,
-            gating=None,
+        service = RegionalService.create(
+            solo_region(), scheme="clover", fidelity="smoke", seed=7
         )
+        fleet = FleetCoordinator([service], StaticRouter(), gating=None)
         fleet_result = fleet.run(duration_h=6.0)
         seed_result = CarbonAwareInferenceService.create(
             application="classification",
@@ -111,9 +119,14 @@ class TestGatingDisabledEquivalence:
         """The no-overspend invariant is enforced, not just documented: a
         wake transition may not draw more than the static floor it was
         gated from."""
+        parts = demand_fleet()
         with pytest.raises(ValueError, match="out-spend"):
-            demand_fleet(
-                gating=GatingPolicy(wake_latency_s=10.0)  # default 2 kJ wake
+            FleetCoordinator(
+                parts.services,
+                parts.router,
+                demand=parts.demand,
+                latency_matrix=parts.latency_matrix,
+                gating=GatingPolicy(wake_latency_s=10.0),  # default 2 kJ wake
             )
 
 

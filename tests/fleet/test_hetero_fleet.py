@@ -10,29 +10,39 @@ import numpy as np
 import pytest
 
 from repro.analysis.runner import ExperimentRunner
-from repro.fleet import (
-    CapacityManager,
-    FleetCoordinator,
-    GatingPolicy,
-    make_gating_policy,
-    region_by_name,
-)
+from repro.fleet import CapacityManager, GatingPolicy, region_by_name
 from repro.fleet.regional import RegionalService
 from repro.fleet.routing import CarbonGreedyRouter, RoutingContext, make_router
 from repro.gpu.profiles import parse_region_devices
-from repro.scenarios import RegionSpec, RoutingSpec, Scenario, ScenarioSpec
+from repro.scenarios import (
+    DemandSpec,
+    GatingSpec,
+    RegionSpec,
+    RoutingSpec,
+    Scenario,
+    ScenarioSpec,
+)
 
 GPUS = 2
 
 
-def small_fleet(devices, router="carbon-greedy", seed=0, **kwargs):
-    regions = tuple(
-        region_by_name(name, n_gpus=GPUS, devices=dev)
-        for name, dev in (("us-ciso", devices[0]), ("uk-eso", devices[1]))
+def small_fleet(
+    devices, router="carbon-greedy", efficiency_weighted=True, **overrides
+):
+    spec = ScenarioSpec(
+        regions=tuple(
+            RegionSpec(name=name, devices=dev)
+            for name, dev in (("us-ciso", devices[0]), ("uk-eso", devices[1]))
+        ),
+        fidelity="smoke",
+        seed=0,
+        n_gpus=GPUS,
+        routing=RoutingSpec(
+            router=router, efficiency_weighted=efficiency_weighted
+        ),
+        **overrides,
     )
-    return FleetCoordinator.create(
-        regions, router=router, fidelity="smoke", seed=seed, **kwargs
-    )
+    return Scenario(spec).build()
 
 
 class TestHomogeneousBitForBit:
@@ -119,22 +129,17 @@ class TestEfficiencyAwareRouting:
     def test_mixed_fleet_efficiency_beats_intensity_under_gating(self):
         """The tentpole's routing claim at test scale: strictly lower
         carbon at equal-or-better SLA on a mixed A100/L4 fleet."""
-        policy = make_gating_policy("reactive", wake_energy_j=1000.0)
         kwargs = dict(
-            gating=policy,
-            demand="diurnal",
-            ramp_share_per_h=0.10,
-            drain_share_per_h=0.20,
+            gating=GatingSpec(mode="reactive", wake_energy_j=1000.0),
+            demand=DemandSpec(
+                kind="diurnal", ramp_share_per_h=0.10, drain_share_per_h=0.20
+            ),
         )
         eff = small_fleet(
-            ("a100", "l4"),
-            router=make_router("carbon-greedy", efficiency_weighted=True),
-            **kwargs,
+            ("a100", "l4"), efficiency_weighted=True, **kwargs
         ).run(duration_h=24.0)
         intensity = small_fleet(
-            ("a100", "l4"),
-            router=make_router("carbon-greedy", efficiency_weighted=False),
-            **kwargs,
+            ("a100", "l4"), efficiency_weighted=False, **kwargs
         ).run(duration_h=24.0)
         assert eff.total_carbon_g < intensity.total_carbon_g
         assert eff.user_sla_attainment >= intensity.user_sla_attainment - 1e-12
@@ -239,7 +244,7 @@ class TestHeterogeneousCapacityManager:
         make a gated L4 fleet unassemblable; the profile defaults fit
         each board's own static ceiling, so the mixed fleet gates out of
         the box with no override."""
-        fleet = small_fleet(("a100", "l4"), gating="reactive")
+        fleet = small_fleet(("a100", "l4"), gating=GatingSpec(mode="reactive"))
         assert fleet.gating is not None
         assert fleet.gating.wake_energy_j is None  # per-device defaults
 
@@ -247,12 +252,10 @@ class TestHeterogeneousCapacityManager:
         """The gated-never-out-spends-always-on invariant is enforced
         against the leanest device: an L4 region with an explicit
         A100-sized 2 kJ wake energy must be rejected loudly."""
-        from repro.fleet import make_gating_policy
-
         with pytest.raises(ValueError, match="wake energy"):
             small_fleet(
                 ("a100", "l4"),
-                gating=make_gating_policy("reactive", wake_energy_j=2000.0),
+                gating=GatingSpec(mode="reactive", wake_energy_j=2000.0),
             )
 
 

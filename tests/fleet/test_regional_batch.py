@@ -7,16 +7,31 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.regional import (
     PRE_DEPLOYMENT_BUDGET_SLACK_MS,
     RegionalService,
 )
 from repro.fleet.regions import region_by_name
-from repro.scenarios import Scenario, load_scenario_file
+from repro.scenarios import (
+    RegionSpec,
+    RoutingSpec,
+    Scenario,
+    ScenarioSpec,
+    load_scenario_file,
+)
 
 EXAMPLE_SCENARIOS = (
     Path(__file__).resolve().parents[2] / "examples" / "scenarios"
+)
+
+#: One us-ciso region behind the static router.
+SOLO_SPEC = ScenarioSpec(
+    regions=(RegionSpec(name="us-ciso"),),
+    scheme="clover",
+    fidelity="smoke",
+    seed=0,
+    n_gpus=2,
+    routing=RoutingSpec(router="static"),
 )
 
 
@@ -28,10 +43,7 @@ def fresh_service():
 
 @pytest.fixture(scope="module")
 def deployed_service():
-    region = region_by_name("us-ciso", n_gpus=2)
-    fleet = FleetCoordinator.create(
-        [region], scheme="clover", router="static", fidelity="smoke", seed=0
-    )
+    fleet = Scenario(SOLO_SPEC).build()
     fleet.run(duration_h=2.0)
     svc = fleet.services[0]
     assert svc.controller.deployed is not None
@@ -89,10 +101,7 @@ class TestDeployed:
 @pytest.fixture
 def churned_service():
     """A deployed region the test may redeploy, gate and re-budget."""
-    region = region_by_name("us-ciso", n_gpus=2)
-    fleet = FleetCoordinator.create(
-        [region], scheme="clover", router="static", fidelity="smoke", seed=0
-    )
+    fleet = Scenario(SOLO_SPEC).build()
     fleet.run(duration_h=2.0)
     return fleet.services[0]
 

@@ -4,37 +4,44 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fleet import FleetCoordinator, region_by_name
-from repro.shifting import BatchJobClass
+from repro.scenarios import (
+    BatchSpec,
+    DemandSpec,
+    GatingSpec,
+    RegionSpec,
+    RoutingSpec,
+    Scenario,
+    ScenarioSpec,
+)
 
 GPUS = 2
 REGIONS = ("nordic-hydro", "us-ciso")
 
 
-def fleet(batch=None, router="carbon-greedy", gating=None, demand=None,
-          seed=0):
-    regions = tuple(region_by_name(n, n_gpus=GPUS) for n in REGIONS)
-    kwargs = {}
+def fleet(batch=BatchSpec(), gating=None, demand=None, seed=0):
+    demand_spec = DemandSpec()
     if demand is not None:
-        kwargs.update(
-            demand=demand, ramp_share_per_h=0.10, drain_share_per_h=0.20
+        demand_spec = DemandSpec(
+            kind=demand, ramp_share_per_h=0.10, drain_share_per_h=0.20
         )
-    return FleetCoordinator.create(
-        regions,
+    spec = ScenarioSpec(
+        regions=tuple(RegionSpec(name=n) for n in REGIONS),
         scheme="clover",
-        router=router,
         fidelity="smoke",
         seed=seed,
-        gating=gating,
+        n_gpus=GPUS,
+        routing=RoutingSpec(router="carbon-greedy"),
+        demand=demand_spec,
+        gating=GatingSpec(mode=gating),
         batch=batch,
-        **kwargs,
     )
+    return Scenario(spec).build()
 
 
 def batch_job(jobs_per_h=360.0, **kwargs):
     kwargs.setdefault("requests_per_job", 100.0)
     kwargs.setdefault("deadline_h", 8.0)
-    return BatchJobClass(jobs_per_h=jobs_per_h, **kwargs)
+    return BatchSpec(jobs_per_h=jobs_per_h, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +111,7 @@ class TestBatchSafety:
 
     def test_conservation_served_plus_queued_is_arrivals(self, joint_run):
         report, _ = joint_run
-        job = batch_job()
+        job = fleet(batch=batch_job()).batch
         arrived = job.arrivals_requests(0.0, 24.0)
         accounted = (
             report.batch_completed_requests + report.batch_pending_requests

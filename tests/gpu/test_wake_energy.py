@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fleet import FleetCoordinator, GatingPolicy, region_by_name
+from repro.fleet import GatingPolicy, region_by_name
 from repro.fleet.regional import RegionalService
 from repro.gpu.profiles import (
     A100_PROFILE,
@@ -11,6 +11,14 @@ from repro.gpu.profiles import (
     DevicePool,
     H100_PROFILE,
     L4_PROFILE,
+)
+from repro.scenarios import (
+    DemandSpec,
+    GatingSpec,
+    RegionSpec,
+    RoutingSpec,
+    Scenario,
+    ScenarioSpec,
 )
 
 
@@ -88,24 +96,22 @@ class TestRegionalWakeEnergy:
 
 class TestGatedFleetUsesProfileDefaults:
     def _gated(self, wake_energy_j=None, seed=11):
-        gating = GatingPolicy(
-            target_utilization=0.75,
-            wake_energy_j=wake_energy_j,
-        )
-        return FleetCoordinator.create(
-            [
-                region_by_name("us-ciso", n_gpus=2),
-                region_by_name("nordic-hydro", n_gpus=2),
-            ],
+        spec = ScenarioSpec(
+            regions=(
+                RegionSpec(name="us-ciso"), RegionSpec(name="nordic-hydro")
+            ),
             scheme="base",
-            router="carbon-greedy",
             fidelity="smoke",
             seed=seed,
-            demand="diurnal",
-            ramp_share_per_h=0.2,
-            drain_share_per_h=0.3,
-            gating=gating,
-        ).run(duration_h=12.0)
+            n_gpus=2,
+            duration_h=12.0,
+            routing=RoutingSpec(router="carbon-greedy"),
+            demand=DemandSpec(
+                kind="diurnal", ramp_share_per_h=0.2, drain_share_per_h=0.3
+            ),
+            gating=GatingSpec(mode="reactive", wake_energy_j=wake_energy_j),
+        )
+        return Scenario(spec).run()
 
     def test_default_none_equals_explicit_a100_scalar(self):
         """Regression: an all-A100 gated fleet charges exactly what the

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.fleet import ROUTER_NAMES, make_router
 from repro.scenarios import (
     BatchSpec,
     DemandSpec,
@@ -18,6 +19,7 @@ from repro.scenarios import (
     spec_to_json,
     spec_to_toml,
 )
+from repro.scenarios.spec import LOOKAHEAD_ROUTERS
 
 
 def minimal(**overrides) -> ScenarioSpec:
@@ -48,10 +50,7 @@ KITCHEN_SINK = ScenarioSpec(
         router="forecast-aware", lookahead_h=4.0, forecaster="persistence",
         efficiency_weighted=True,
     ),
-    demand=DemandSpec(
-        kind="diurnal", scale=0.7, ramp_share_per_h=0.1,
-        drain_share_per_h=0.2,
-    ),
+    demand=DemandSpec(ramp_share_per_h=0.1, drain_share_per_h=0.2),
     gating=GatingSpec(mode="forecast", wake_energy_j=500.0),
     batch=BatchSpec(
         jobs_per_h=120.0, requests_per_job=50.0, deadline_h=6.0,
@@ -123,6 +122,27 @@ class TestValidation:
         with pytest.raises(ValueError, match="demand kind"):
             minimal(demand=DemandSpec(scale=0.5))
 
+    def test_net_latency_rejected_with_demand_kind(self):
+        """A demand model sets each region's hop from the origin matrix,
+        so the override would be silently discarded."""
+        with pytest.raises(ValueError, match="net_latency_ms has no effect"):
+            minimal(net_latency_ms=25.0, demand=DemandSpec(kind="diurnal"))
+
+    def test_lookahead_needs_a_router_with_a_horizon(self):
+        with pytest.raises(ValueError, match="takes no lookahead horizon"):
+            RoutingSpec(router="static", lookahead_h=4.0)
+        with pytest.raises(ValueError, match="takes no lookahead horizon"):
+            spec_from_toml(
+                '[[regions]]\nname = "us-ciso"\n\n'
+                '[routing]\nrouter = "carbon-greedy"\nlookahead_h = 4.0\n'
+            )
+
+    @pytest.mark.parametrize("router", ROUTER_NAMES)
+    def test_lookahead_routers_are_those_with_a_horizon(self, router):
+        assert (router in LOOKAHEAD_ROUTERS) == hasattr(
+            make_router(router), "lookahead_h"
+        )
+
     def test_ramp_allowed_without_demand_kind(self):
         """Migration limits bind constant-demand fleets too (PR-2 CLI)."""
         spec = minimal(demand=DemandSpec(ramp_share_per_h=0.1))
@@ -168,6 +188,7 @@ class TestRoundTrips:
             minimal(),
             KITCHEN_SINK,
             minimal(duration_h=24.0, net_latency_ms=0.0),
+            minimal(demand=DemandSpec(kind="diurnal", scale=0.7)),
             minimal(
                 regions=(
                     RegionSpec(name="nordic-hydro", scheme="co2opt"),
@@ -176,7 +197,10 @@ class TestRoundTrips:
                 routing=RoutingSpec(router="carbon-greedy"),
             ),
         ],
-        ids=["minimal", "kitchen-sink", "zero-latency", "mixed-scheme"],
+        ids=[
+            "minimal", "kitchen-sink", "zero-latency", "diurnal-demand",
+            "mixed-scheme",
+        ],
     )
     def test_toml_and_json_round_trip_identity(self, spec):
         assert spec_from_toml(spec_to_toml(spec)) == spec
