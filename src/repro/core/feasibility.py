@@ -6,9 +6,14 @@ slice histogram (exact cover over the 19 MIG configurations), and variants
 that respect the memory (OOM-edge) mask.  This module bridges the two
 representations:
 
-* :func:`graph_is_feasible` — the predicate the optimizer uses,
+* :func:`graph_is_feasible` — whether a graph decomposes onto ``n``
+  GPUs; a library predicate that no simulation path calls (the move
+  generator keeps every candidate feasible by construction),
 * :func:`realize_graph` — graph → concrete :class:`ClusterConfig`
-  (deterministic, so realized deployments are reproducible).
+  (deterministic, so realized deployments are reproducible).  The
+  evaluator calls it to price each graph it evaluates on a device pool
+  (a heterogeneous fleet's regions): the realization's ``i``-th
+  canonical assignment runs on the pool's ``i``-th device.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ That representation delivers the two properties the paper claims:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -63,6 +63,7 @@ class ConfigGraph:
 
     family: str
     weights: np.ndarray
+    _key: bytes = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.int64)
@@ -75,6 +76,7 @@ class ConfigGraph:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_key", w.tobytes())
 
     # ------------------------------------------------------------------ #
     # construction
@@ -160,8 +162,8 @@ class ConfigGraph:
         return not np.any(self.weights[~memory_mask])
 
     def key(self) -> bytes:
-        """Stable hashable key for evaluator caching."""
-        return self.weights.tobytes()
+        """Stable hashable key for evaluator caching (computed once)."""
+        return self._key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConfigGraph):
@@ -171,7 +173,7 @@ class ConfigGraph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.family, self.key()))
+        return hash((self.family, self._key))
 
     def _check_compatible(self, other: "ConfigGraph") -> None:
         if self.family != other.family:

@@ -124,9 +124,12 @@ class MoveGenerator:
                 candidate = self._move_repartition(config, gen)
             if candidate is None:
                 continue
+            # Project the canonical form, which is what the caller
+            # evaluates: its graph is then already memoized.
+            candidate = candidate.canonical()
             cand_graph = ConfigGraph.from_config(candidate, self._num_variants)
             if base_graph.is_neighbor(cand_graph, self.threshold):
-                return candidate.canonical()
+                return candidate
         return None
 
     def random_config(

@@ -17,8 +17,8 @@ The model is an M/G/c approximation of the heterogeneous FIFO service:
 * the response-time CDF is the convolution of that wait with the discrete
   mixture of per-instance service times.  Between two consecutive service
   times it has the form ``A - C e^{-beta t}``, so its quantiles are
-  inverted in closed form by one row-wise solver that the scalar and the
-  batched estimates share.
+  inverted in closed form by one 1-D row solver: the scalar estimate
+  calls it directly and the batched estimate once per row.
 
 Accuracy against the DES is pinned by tests (see
 ``tests/serving/test_analytic.py``): a few percent on utilization and
@@ -105,40 +105,44 @@ def erlang_c_batch(c: int, offered_load) -> np.ndarray:
 
 
 def _mixture_quantile_s(q, shares, service_s, p_wait, mean_wait_s, overloaded):
-    """Row-wise ``q``-quantile of the wait + service mixture, in closed form.
+    """``q``-quantile of one row's wait + service mixture, in closed form.
 
-    Row ``i`` has the latency CDF ``F(t) = sum_j w_j [t >= s_j]
-    (1 - p e^{-beta (t - s_j)})`` with ``beta = p / mean_wait``.  With the
-    service times sorted, ``F(s_k) = A_k - p D_k`` at breakpoint ``k``
-    (``A_k = sum_{j<=k} w_j``, ``D_k = sum_{j<=k} w_j e^{-beta (s_k - s_j)}``)
-    and ``F(t) = A_k - p D_k e^{-beta (t - s_k)}`` until the next one, which
-    reaches ``q`` at ``t_k = s_k + ln(p D_k / (A_k - q)) / beta``.  Every
-    breakpoint with ``F(s_k) >= q`` and every ``t_k`` bounds the quantile
-    from above (``F`` only grows past a breakpoint), and the first breakpoint
-    reaching ``q`` or the crossing on the segment before it *is* the
-    quantile, so the answer is the smallest candidate.  ``D_k`` comes from a
-    running ``logaddexp`` so ``e^{beta s}`` never overflows.  Rows without
-    queueing reduce to the atoms and overloaded rows return ``inf``.
+    ``shares`` and ``service_s`` are the row's ``(m,)`` arrays; the other
+    parameters are its scalars.  The latency CDF is ``F(t) = sum_j w_j
+    [t >= s_j] (1 - p e^{-beta (t - s_j)})`` with ``beta = p / mean_wait``.
+    With the service times sorted, ``F(s_k) = A_k - p D_k`` at breakpoint
+    ``k`` (``A_k = sum_{j<=k} w_j``, ``D_k = sum_{j<=k} w_j e^{-beta (s_k -
+    s_j)}``) and ``F(t) = A_k - p D_k e^{-beta (t - s_k)}`` until the next
+    one, which reaches ``q`` at ``t_k = s_k + ln(p D_k / (A_k - q)) / beta``.
+    Every breakpoint with ``F(s_k) >= q`` and every ``t_k`` bounds the
+    quantile from above (``F`` only grows past a breakpoint), and the first
+    breakpoint reaching ``q`` or the crossing on the segment before it *is*
+    the quantile, so the answer is the smallest candidate.  ``D_k`` comes
+    from a running ``logaddexp`` so ``e^{beta s}`` never overflows.  A row
+    without queueing reduces to the atoms and an overloaded row is ``inf``.
+    The scalar estimate calls this directly and the batch calls it once
+    per row, so both share every floating-point operation.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile must be in (0, 1), got {q}")
-    waits = (p_wait > 0) & (mean_wait_s > 0)
-    p = np.where(waits, p_wait, 0.0)[..., None]
-    safe_wait = np.where(waits, mean_wait_s, 1.0)
-    beta = np.where(waits, p_wait / safe_wait, 1.0)[..., None]
-    order = np.argsort(service_s, axis=1)
-    rows = np.arange(order.shape[0])[:, None]
-    s = service_s[rows, order]
-    w = shares[rows, order]
-    a = np.cumsum(w, axis=1)
+    if overloaded:
+        return float("inf")
+    if p_wait > 0 and mean_wait_s > 0:
+        p, beta = p_wait, p_wait / mean_wait_s
+    else:
+        p, beta = 0.0, 1.0
+    order = service_s.argsort()
+    s = service_s[order]
+    w = shares[order]
+    a = w.cumsum()
     with np.errstate(divide="ignore", invalid="ignore"):
         bs = beta * s
-        pd = p * np.exp(np.logaddexp.accumulate(np.log(w) + bs, axis=1) - bs)
+        pd = p * np.exp(np.logaddexp.accumulate(np.log(w) + bs) - bs)
         rise = np.maximum(np.log(pd / (a - q)), 0.0) / beta
     # An atom where F(s_k) already reaches q, else segment k's crossing
     # (none when the segment tops out at A_k <= q).
     candidates = np.where(a - pd >= q, s, np.where(a > q, s + rise, np.inf))
-    return np.where(overloaded, np.inf, candidates.min(axis=1))
+    return float(np.minimum.reduce(candidates))
 
 
 @dataclass(frozen=True)
@@ -183,15 +187,13 @@ class QueueEstimate:
         >>> estimate_fifo(np.array([0.01, 0.02, 0.05]), 50.0).p95_ms() == 50.0
         True
         """
-        return float(
-            _mixture_quantile_s(
-                q,
-                self.shares[None, :],
-                self.service_s[None, :],
-                self.p_wait,
-                self.mean_wait_s,
-                self.overloaded,
-            )[0]
+        return _mixture_quantile_s(
+            q,
+            self.shares,
+            self.service_s,
+            self.p_wait,
+            self.mean_wait_s,
+            self.overloaded,
         )
 
     def p95_ms(self) -> float:
@@ -277,10 +279,11 @@ class BatchQueueEstimate:
     Row ``i`` is exactly what ``estimate_fifo(service_s[i], rates_per_s[i])``
     would produce (the same formulas evaluated elementwise; agreement is
     within ~1e-12 relative, bounded only by summation-order rounding), but
-    all rows share one pass through the Erlang recursion and one call of
-    the closed-form quantile solver.  This is the path
-    :meth:`~repro.core.evaluator.ConfigEvaluator.evaluate_rates` takes when
-    the fleet router probes one deployed configuration at many rates.
+    all rows share one pass through the Erlang recursion, and each row's
+    quantile comes from the scalar estimate's closed-form solver.  This is
+    the path :meth:`~repro.core.evaluator.ConfigEvaluator.evaluate_rates`
+    takes when the fleet router probes one deployed configuration at many
+    rates.
     """
 
     rates_per_s: np.ndarray
@@ -296,14 +299,23 @@ class BatchQueueEstimate:
         return int(self.rates_per_s.size)
 
     def quantile_s(self, q: float) -> np.ndarray:
-        """Row-wise ``q``-quantile of end-to-end latency, seconds."""
-        return _mixture_quantile_s(
-            q,
-            self.shares,
-            self.service_s,
-            self.p_wait,
-            self.mean_wait_s,
-            self.overloaded,
+        """Row-wise ``q``-quantile of end-to-end latency, seconds.
+
+        Each row goes through the scalar estimate's solver, so row ``i``
+        is bit for bit what the row's :class:`QueueEstimate` would return.
+        """
+        return np.array(
+            [
+                _mixture_quantile_s(q, w, s, p, mw, over)
+                for w, s, p, mw, over in zip(
+                    self.shares,
+                    self.service_s,
+                    self.p_wait.tolist(),
+                    self.mean_wait_s.tolist(),
+                    self.overloaded.tolist(),
+                )
+            ],
+            dtype=np.float64,
         )
 
     def p95_ms(self) -> np.ndarray:

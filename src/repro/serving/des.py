@@ -9,7 +9,12 @@ With that discipline, the instance that serves request *k* is always the one
 with the earliest next-free time, so the simulation reduces to one min-heap
 of instance free-times — no explicit event calendar needed.  The per-request
 Python loop is the hot path; everything around it (jitter sampling, result
-assembly) is vectorized.
+assembly) is vectorized.  The loop reads the arrivals and the jitter and
+writes start, finish and instance through ``memoryview``s of the numpy
+arrays: an item access there is a plain C double or int64, far cheaper
+than a numpy-scalar write, and unlike ``tolist()`` buffers it holds no
+boxed copy of the ``n`` requests (the build's 50k-request baseline runs
+would otherwise keep 50k Python floats per buffer alive).
 """
 
 from __future__ import annotations
@@ -80,17 +85,23 @@ def simulate_fifo(
     heapq.heapify(free_heap)
     heapreplace = heapq.heapreplace
 
+    # The m instance means are read once per request, so a list (which
+    # hands back the same float objects) beats a view; everything sized
+    # by n goes through a memoryview.
     svc_means = service.tolist()
-    arr_list = arrivals.tolist()
-    jit_list = jitter.tolist()
+    arr_v = memoryview(arrivals)
+    jit_v = memoryview(jitter)
+    start_v = memoryview(start)
+    finish_v = memoryview(finish)
+    assigned_v = memoryview(assigned)
     for k in range(n):
         free_t, i = free_heap[0]
-        t = arr_list[k]
+        t = arr_v[k]
         s = t if t > free_t else free_t
-        f = s + svc_means[i] * jit_list[k]
-        start[k] = s
-        finish[k] = f
-        assigned[k] = i
+        f = s + svc_means[i] * jit_v[k]
+        start_v[k] = s
+        finish_v[k] = f
+        assigned_v[k] = i
         heapreplace(free_heap, (f, i))
 
     return RequestBatch(

@@ -67,13 +67,9 @@ class RngMixer:
     """
 
     seed: int | None = None
-    _root: np.random.Generator = field(init=False, repr=False)
     _children: dict[str, np.random.Generator] = field(
         init=False, default_factory=dict, repr=False
     )
-
-    def __post_init__(self) -> None:
-        self._root = np.random.default_rng(self.seed)
 
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator registered under ``name``, creating it lazily."""

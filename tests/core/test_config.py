@@ -1,6 +1,8 @@
 """Cluster configuration variables and canonicalization."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import (
     ClusterConfig,
@@ -9,6 +11,7 @@ from repro.core.config import (
     co2opt_config,
     uniform_config,
 )
+from repro.core.moves import MoveGenerator
 
 
 class TestGpuAssignment:
@@ -102,6 +105,61 @@ class TestClusterConfig:
             cfg.with_assignment(
                 5, GpuAssignment(partition_id=1, variant_ordinals=(1,))
             )
+
+
+def sorted_config(config: ClusterConfig) -> ClusterConfig:
+    """The cluster's canonical form by sorting, without the memo."""
+    canon = sorted(
+        (a.canonical() for a in config.assignments),
+        key=lambda a: (a.partition_id, a.variant_ordinals),
+    )
+    return ClusterConfig(family=config.family, assignments=tuple(canon))
+
+
+def shuffled(config: ClusterConfig, rng: np.random.Generator) -> ClusterConfig:
+    """The same GPUs in another order, each GPU's ordinals shuffled."""
+    order = rng.permutation(config.n_gpus)
+    return ClusterConfig(
+        family=config.family,
+        assignments=tuple(
+            GpuAssignment(
+                partition_id=a.partition_id,
+                variant_ordinals=tuple(
+                    int(o) for o in rng.permutation(a.variant_ordinals)
+                ),
+            )
+            for a in (config.assignments[i] for i in order)
+        ),
+    )
+
+
+class TestCanonicalMemo:
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 6),
+        perturb=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_memo_equals_the_sort(self, zoo, seed, n, perturb):
+        moves = MoveGenerator(zoo=zoo, family="efficientnet")
+        rng = np.random.default_rng(seed)
+        config = moves.random_config(n, rng)
+        if perturb:
+            config = moves.perturb_config(config, rng)
+        for cfg in (config, shuffled(config, rng)):
+            want = sorted_config(cfg)
+            assert cfg.canonical() == want
+            assert cfg.canonical() == want  # the memoized answer
+            assert want.canonical() == want
+
+    def test_equal_configs_share_one_canonical_instance(self, zoo):
+        """Later cache lookups on the canonical form match by identity."""
+        moves = MoveGenerator(zoo=zoo, family="efficientnet")
+        config = moves.random_config(4, np.random.default_rng(7))
+        raw = shuffled(config, np.random.default_rng(8))
+        twin = ClusterConfig(family=raw.family, assignments=raw.assignments)
+        assert twin is not raw and twin == raw
+        assert twin.canonical() is raw.canonical()
 
 
 class TestNamedConfigs:

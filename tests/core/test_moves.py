@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import base_config, co2opt_config
-from repro.core.graph import ConfigGraph
+from repro.core.graph import ConfigGraph, _graph_from_config
 from repro.core.moves import GED_THRESHOLD, MoveGenerator, partition_neighbors
 from repro.gpu.cluster import decompose_histogram
 from repro.gpu.partitions import ALL_PARTITION_HISTOGRAMS
@@ -80,6 +80,23 @@ class TestPropose:
         assert decompose_histogram(
             g1.slice_histogram(), proposal.n_gpus
         ) is not None
+
+    @given(seed=st.integers(0, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_proposals_are_already_projected(self, zoo, seed):
+        """``propose`` projects the canonical candidate it returns, so the
+        evaluator's projection of that candidate is a memo hit."""
+        moves = MoveGenerator(zoo=zoo, family="efficientnet")
+        num_variants = zoo.family("efficientnet").num_variants
+        rng = np.random.default_rng(seed)
+        proposal = moves.propose(moves.random_config(3, rng), rng)
+        if proposal is None:
+            return
+        assert proposal == proposal.canonical()
+        before = _graph_from_config.cache_info()
+        ConfigGraph.from_config(proposal, num_variants)
+        after = _graph_from_config.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_propose_from_base_finds_neighbors(self, zoo):
         moves = MoveGenerator(zoo=zoo, family="efficientnet")

@@ -2,12 +2,14 @@
 and queueing-theory sanity properties."""
 
 import heapq
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.serving.des import simulate_fifo
+from repro.serving.instance import sample_jitter
 from repro.serving.queueing import FifoQueue
 from repro.serving.workload import PoissonWorkload
 
@@ -86,6 +88,111 @@ def pop_push_simulation(arrivals, service_means):
         start[k], finish[k], assigned[k] = s, f, i
         heapq.heappush(free_heap, (f, i))
     return start, finish, assigned
+
+
+def item_write_simulation(arrivals, service_means, jitter_cv, seed):
+    """The simulator's earlier heap loop, kept as a bit-for-bit oracle.
+
+    It copies the arrivals, the jitter and the instance means into Python
+    lists and writes every start, finish and instance as a numpy item.
+    The jitter is drawn exactly as the simulator draws it.
+    """
+    arrivals = np.asarray(arrivals, dtype=np.float64)
+    service = np.asarray(service_means, dtype=np.float64)
+    n = arrivals.size
+    jitter = sample_jitter(n, jitter_cv, np.random.default_rng(seed))
+    start = np.empty(n, dtype=np.float64)
+    finish = np.empty(n, dtype=np.float64)
+    assigned = np.empty(n, dtype=np.int64)
+    free_heap = [(0.0, i) for i in range(service.size)]
+    heapq.heapify(free_heap)
+    svc_means = service.tolist()
+    arr_list = arrivals.tolist()
+    jit_list = jitter.tolist()
+    for k in range(n):
+        free_t, i = free_heap[0]
+        t = arr_list[k]
+        s = t if t > free_t else free_t
+        f = s + svc_means[i] * jit_list[k]
+        start[k] = s
+        finish[k] = f
+        assigned[k] = i
+        heapq.heapreplace(free_heap, (f, i))
+    return start, finish, assigned
+
+
+def assert_matches_item_writes(arrivals, service, jitter_cv, seed):
+    batch = simulate_fifo(arrivals, service, jitter_cv, rng=seed)
+    start, finish, assigned = item_write_simulation(
+        arrivals, service, jitter_cv, seed
+    )
+    for got, want in (
+        (batch.start_s, start),
+        (batch.finish_s, finish),
+        (batch.instance_index, assigned),
+    ):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+class TestAgainstItemWriteLoop:
+    @given(
+        m=st.integers(1, 16),
+        n=st.integers(0, 3_000),
+        load=st.floats(0.2, 1.5),
+        jitter_cv=st.sampled_from((0.0, 0.08)),
+        seed=st.integers(0, 2**32 - 1),
+        strided=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_bit_for_bit(self, m, n, load, jitter_cv, seed, strided):
+        rng = np.random.default_rng(seed)
+        service = rng.uniform(0.005, 0.2, m)
+        horizon = n / (load * float((1.0 / service).sum()))
+        arrivals = np.sort(rng.uniform(0.0, horizon, 2 * n if strided else n))
+        if strided:
+            arrivals = arrivals[::2]
+            assert n <= 1 or not arrivals.flags.c_contiguous
+        assert_matches_item_writes(arrivals, service, jitter_cv, seed)
+
+    @given(
+        m=st.integers(1, 6),
+        bursts=st.lists(st.integers(1, 12), min_size=1, max_size=20),
+        gap_steps=st.integers(0, 4),
+        jitter_cv=st.sampled_from((0.0, 0.08)),
+        seed=st.integers(0, 1_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tie_bursts_match_bit_for_bit(
+        self, m, bursts, gap_steps, jitter_cv, seed
+    ):
+        service = np.full(m, 0.25)
+        arrivals = np.repeat(
+            np.arange(len(bursts)) * 0.125 * gap_steps, bursts
+        )
+        assert_matches_item_writes(arrivals, service, jitter_cv, seed)
+
+
+class TestMemory:
+    def test_peak_stays_near_the_output_arrays(self):
+        """One 50k-request call holds the jitter and the three outputs
+        (4 x 8n bytes), not boxed per-request copies of its buffers."""
+        n = 50_000
+        arrivals = PoissonWorkload(90.0).arrivals_fixed_count(n, 21)
+        service = np.array([0.015, 0.02])
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            batch = simulate_fifo(arrivals, service, rng=22)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(batch) == n
+        assert peak - before < 6 * 8 * n
 
 
 class TestAgainstReference:

@@ -137,6 +137,48 @@ class TestOneSolver:
         )
         assert batch.quantile_s(q)[0] == est.quantile_s(q)
 
+    @given(
+        service_rows(max_size=12),
+        st.lists(st.floats(0.01, 1.2), min_size=2, max_size=8),
+        st.lists(st.booleans(), min_size=8, max_size=8),
+        quantiles,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_multi_row_batch_is_per_row_scalar_bit_for_bit(
+        self, service, grid, no_wait, q
+    ):
+        """Rows at up to 1.2x capacity (overloaded past 0.98), some with
+        their wait zeroed out."""
+        capacity = sum(1.0 / s for s in service)
+        rates = np.array([load * capacity for load in grid])
+        batch = estimate_fifo_batch(np.asarray(service), rates)
+        zero = np.array(no_wait[: rates.size])
+        batch = replace(
+            batch,
+            p_wait=np.where(zero, 0.0, batch.p_wait),
+            mean_wait_s=np.where(zero, 0.0, batch.mean_wait_s),
+        )
+        got = batch.quantile_s(q)
+        assert got.shape == (rates.size,)
+        for i in range(rates.size):
+            assert float(got[i]).hex() == batch_row(batch, i).quantile_s(q).hex()
+
+    def test_overloaded_and_no_wait_rows_in_one_batch(self):
+        service = np.linspace(0.01, 0.05, 60)
+        capacity = float((1.0 / service).sum())
+        # Erlang underflow (no wait), moderate load, overload.
+        batch = estimate_fifo_batch(
+            service, np.array([1e-4, 0.5 * capacity, 0.99 * capacity])
+        )
+        assert batch.p_wait[0] == 0.0
+        assert batch.p_wait[1] > 0.0
+        assert batch.overloaded.tolist() == [False, False, True]
+        for q in QUANTILES:
+            got = batch.quantile_s(q)
+            for i in range(3):
+                assert float(got[i]).hex() == batch_row(batch, i).quantile_s(q).hex()
+            assert got[2] == float("inf")
+
     def test_light_load_p95_is_the_slowest_service_time(self):
         service = np.array([0.004, 0.011, 0.02, 0.035])
         est = estimate_fifo(service, 2.0)
