@@ -68,8 +68,8 @@ class DiurnalForecaster:
     length* — how many trace samples lie at or before it — so the
     forecaster keeps the last profile it built, keyed on that count.
     Queries between two samples (every epoch of an hourly trace) reuse
-    it; a new sample rebuilds it.  The cache is per instance and left
-    out of equality and ``repr``.
+    it; a new sample updates the hour bin it falls in.  The cache is
+    per instance and left out of equality and ``repr``.
 
     Parameters
     ----------
@@ -92,8 +92,9 @@ class DiurnalForecaster:
 
     trace: CarbonIntensityTrace
     anomaly_halflife_h: float = 6.0
-    #: ``(history length, read-only profile)`` of the last climatology built.
-    _profile_cache: tuple[int, np.ndarray] | None = field(
+    #: ``(history length, read-only profile, empty hour bins)`` of the
+    #: last climatology built.
+    _profile_cache: tuple[int, np.ndarray, tuple[int, ...]] | None = field(
         init=False, repr=False, compare=False, default=None
     )
 
@@ -112,6 +113,13 @@ class DiurnalForecaster:
         even persistence to, and the query is an error.  The trace's
         times are strictly increasing, so the history is the prefix of
         the first ``n`` samples; the returned profile is read-only.
+
+        The profile is built up from the cached one: only the hour bins
+        the samples past the cached length fall in are recomputed, each
+        with the mean of its samples among the first ``n``, and bins still
+        empty take the overall mean.  Every other bin holds the same
+        samples as before.  With no cache, or a shorter history, the
+        cached length counts as 0 and every bin starts empty.
         """
         n = int(np.searchsorted(self.trace.times_h, t_h, side="right"))
         if n == 0:
@@ -121,15 +129,22 @@ class DiurnalForecaster:
         cached = self._profile_cache
         if cached is not None and cached[0] == n:
             return cached[1]
+        if cached is None or cached[0] > n:
+            cached = (0, np.empty(24), tuple(range(24)))
+        seen, profile, empty = cached
+        profile = profile.copy()
         hours = self.trace.times_h[:n] % 24.0
         values = self.trace.values[:n]
-        profile = np.empty(24)
-        overall = values.mean()
-        for h in range(24):
-            sel = (hours >= h) & (hours < h + 1)
-            profile[h] = values[sel].mean() if sel.any() else overall
+        # Bin h holds the samples with h <= hour < h + 1; an hour that
+        # rounds to 24.0 lands in no bin.
+        bins = {int(hour) for hour in hours[seen:].tolist() if 0.0 <= hour < 24.0}
+        empty = tuple(h for h in empty if h not in bins)
+        for h in bins:
+            profile[h] = values[(hours >= h) & (hours < h + 1)].mean()
+        if empty:
+            profile[list(empty)] = values.mean()
         profile.setflags(write=False)
-        object.__setattr__(self, "_profile_cache", (n, profile))
+        object.__setattr__(self, "_profile_cache", (n, profile, empty))
         return profile
 
     def predict(self, t_h: float, horizon_h: float) -> float:

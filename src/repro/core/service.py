@@ -3,12 +3,14 @@
 This is the module a downstream user imports.  It wires together the
 substrates (model zoo, performance model, workload, carbon trace) and the
 Clover machinery (objective, evaluators, scheme, monitor, controller)
-behind one call:
+behind one call (smoke fidelity and a 2-hour run keep the example quick):
 
 >>> from repro import CarbonAwareInferenceService
->>> service = CarbonAwareInferenceService.create(application="classification")
->>> report = service.run(duration_h=48.0)
->>> print(report.total_carbon_g, report.accuracy_loss_pct)
+>>> service = CarbonAwareInferenceService.create(
+...     application="classification", fidelity="smoke")
+>>> report = service.run(duration_h=2.0)
+>>> report.total_carbon_g > 0 and 0.0 <= report.accuracy_loss_pct < 100.0
+True
 
 The paper's methodology defaults are baked in: 10 GPUs, Poisson workload
 sized to 65% of BASE capacity, the SLA fixed to BASE's measured p95,

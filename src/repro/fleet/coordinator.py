@@ -928,12 +928,16 @@ class FleetCoordinator:
         for some origin ``o`` (the running regional budget is a min over
         placed pair budgets, and a min of set members is a member), so the
         tables are run constants, built once before the epoch loop.
+        Each table is sorted and free of duplicates, as ``np.unique``
+        would return it; a set does the dedup because ``np.unique``
+        imports ``numpy.ma`` on first use.
         """
         latency = self.latency_matrix.latency_ms
         tables = []
         for r in range(len(self.services)):
-            budgets = np.unique(user_targets_ms[r] - latency[:, r])
-            tables.append(budgets[budgets > 0.0])
+            budgets = (user_targets_ms[r] - latency[:, r]).tolist()
+            positive = {b for b in budgets if b > 0.0}
+            tables.append(np.array(sorted(positive), dtype=np.float64))
         return tables
 
     def _sla_rate_fn(self, budget_tables: list[np.ndarray] | None = None):
@@ -1032,6 +1036,7 @@ class FleetCoordinator:
         ctx: RoutingContext,
         rates: np.ndarray,
         results: list[RunResult],
+        slot_offsets: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Admit-batch phase: release deferrable work into this epoch.
 
@@ -1039,6 +1044,8 @@ class FleetCoordinator:
         capacity minus the interactive routed rate — plus the temporal
         slot ranking (predicted effective gCO2/request of every future
         epoch still inside a lot's deadline) and lets the scheduler plan.
+        ``slot_offsets`` are the mid-slot hours after ``t_h`` of the
+        planning horizon's slots, a run constant.
         Returns ``(batch_rates, hold_rates)``: what each region serves
         now, and the near-future total rate the settle hints hold
         capacity for.
@@ -1099,11 +1106,9 @@ class FleetCoordinator:
         # observation anyway).  The fleet-min is the score: the planner
         # asks "how clean could a request be served then", and spatial
         # placement independently picks the cleanest open region.
-        n_slots = sched.horizon_slots
-        step_h = self.step_s / 3600.0
-        offsets = (np.arange(n_slots) + 0.5) * step_h
+        n_slots = slot_offsets.size
         forecast = np.array(
-            [f.predict_many(t_h, offsets) for f in self._batch_forecasters]
+            [f.predict_many(t_h, slot_offsets) for f in self._batch_forecasters]
         )
         effective = forecast * self._pue[:, None]
         if energy is not None:
@@ -1112,7 +1117,7 @@ class FleetCoordinator:
         slot_caps = np.empty(n_slots, dtype=np.float64)
         slot_caps[0] = float((leftover * eligible).sum()) * self.step_s
         if n_slots > 1:
-            offsets = offsets[1:]
+            offsets = slot_offsets[1:]
             total_cap = float(self._capacity.sum())
             interactive = float(rates.sum())
             if self.demand is None:
@@ -1242,16 +1247,27 @@ class FleetCoordinator:
             if self.demand is None
             else self._sla_budget_tables(user_targets)
         )
-        for i in range(n_epochs):
-            t_h = i * self.step_s / 3600.0
+        # Demand is a fixed function of time, so the run reads it up
+        # front, one rate_matrix row per epoch; a batched read equals the
+        # per-time reads bit for bit.
+        epoch_times = [i * self.step_s / 3600.0 for i in range(n_epochs)]
+        demand_rows = (
+            None if self.demand is None else self.demand.rate_matrix(epoch_times)
+        )
+        slot_offsets = None
+        if self._batch_scheduler is not None:
+            slot_offsets = (
+                np.arange(self._batch_scheduler.horizon_slots) + 0.5
+            ) * (self.step_s / 3600.0)
+        for i, t_h in enumerate(epoch_times):
             if self._managers is not None:
                 # Gate phase: pre-wakes and hysteresis sleeps scheduled
                 # last epoch land now, before the routing envelope is
                 # computed — SLA caps must see the pool that will serve.
                 for svc, mgr in zip(self.services, self._managers):
                     svc.set_awake(mgr.begin_epoch())
-            if self.demand is not None:
-                origin_rates = self.demand.rates(t_h)
+            if demand_rows is not None:
+                origin_rates = demand_rows[i]
                 global_rate = float(origin_rates.sum())
             else:
                 origin_rates = None
@@ -1299,7 +1315,7 @@ class FleetCoordinator:
             batch_holds = None
             if self._batch_scheduler is not None:
                 batch_rates, sched_holds = self._admit_batch(
-                    i, t_h, ctx, rates, results
+                    i, t_h, ctx, rates, results, slot_offsets
                 )
                 batch_rows.append(batch_rates)
                 step_rates = rates + batch_rates

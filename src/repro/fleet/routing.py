@@ -44,6 +44,7 @@ behaviour.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 
@@ -651,18 +652,6 @@ def plan_origin_cells(
     # region's total, so it must not throttle the region's other streams.
     budgets = np.full(n_r, np.inf)
 
-    def place(o: int, r: int, amount: float) -> float:
-        take = min(supply[o], amount)
-        if take <= 0.0:
-            return 0.0
-        plan[o, r] += take
-        supply[o] -= take
-        totals[r] += take
-        pair_budget = user_targets_ms[r] - latency_ms[o, r]
-        if pair_budget > 0.0:
-            budgets[r] = min(budgets[r], pair_budget)
-        return take
-
     # 1. Session retention: prior cells persist, scaled down with their
     # origin's demand (sessions end, they don't multiply), keep-fraction
     # bounded by how fast resident traffic can be drained away.  Cells
@@ -673,7 +662,9 @@ def plan_origin_cells(
     # origin's supply (``ratio`` caps them at ``keep_frac * supply``), so
     # no cell is supply-limited and the per-cell ``place`` loop reduces
     # to masked array adds.  Region budgets tighten by the min eligible
-    # pair budget — a min is placement-order-free.
+    # pair budget — a min is placement-order-free.  This phase stays on
+    # arrays: its row and column sums are numpy's, and from eight cells
+    # on numpy sums pairwise, which a Python loop would not reproduce.
     if prev_plan is not None and session_keep_frac > 0.0:
         prev_rows = prev_plan.sum(axis=1)
         ratio = np.where(
@@ -693,50 +684,80 @@ def plan_origin_cells(
         )
         budgets = np.minimum(budgets, eligible.min(axis=0))
 
+    # The greedy phases visit a handful of cells one at a time, which
+    # Python floats do faster than numpy scalars, with the same IEEE
+    # arithmetic.  Every sum below runs left to right in visiting order.
+    plan = plan.tolist()
+    supply = supply.tolist()
+    totals = totals.tolist()
+    budgets = budgets.tolist()
+    latency = latency_ms.tolist()
+    targets = user_targets_ms.tolist()
+    # Column ``r`` of the stable argsort: region r's origins, nearest first.
+    near_origins = np.argsort(latency_ms, axis=0, kind="stable").T.tolist()
+
+    def place(o: int, r: int, amount: float) -> float:
+        take = min(supply[o], amount)
+        if take <= 0.0:
+            return 0.0
+        plan[o][r] += take
+        supply[o] -= take
+        totals[r] += take
+        pair_budget = targets[r] - latency[o][r]
+        if pair_budget > 0.0:
+            budgets[r] = min(budgets[r], pair_budget)
+        return take
+
     # 2. Data residency: a floor share of each origin stays at its
     # nearest region, whatever the policy prefers.  Each origin touches
-    # one distinct (origin, home) cell, so the per-origin loop is a
-    # single gather/scatter.
+    # one (origin, home) cell; origins go in order, so a home shared by
+    # several of them sums their takes as ``np.add.at`` did.
     if resident_floor_share > 0.0:
-        homes = np.argmin(latency_ms, axis=1)
-        rows = np.arange(n_o)
-        floor = resident_floor_share * np.asarray(origin_rates, dtype=np.float64)
-        take = np.clip(floor - plan[rows, homes], 0.0, supply)
-        plan[rows, homes] += take
-        supply = supply - take
-        np.add.at(totals, homes, take)
-        pair_budgets = user_targets_ms[homes] - latency_ms[rows, homes]
-        eligible = (take > 0.0) & (pair_budgets > 0.0)
-        np.minimum.at(budgets, homes[eligible], pair_budgets[eligible])
+        homes = np.argmin(latency_ms, axis=1).tolist()
+        floors = (
+            resident_floor_share * np.asarray(origin_rates, dtype=np.float64)
+        ).tolist()
+        for o, home in enumerate(homes):
+            # ``np.clip(short, 0.0, supply)``, a tie taking the bound.
+            take = min(supply[o], max(0.0, floors[o] - plan[o][home]))
+            plan[o][home] += take
+            supply[o] -= take
+            totals[home] += take
+            pair_budget = targets[home] - latency[o][home]
+            if take > 0.0 and 0.0 < pair_budget < budgets[home]:
+                budgets[home] = pair_budget
 
     # 2b. Keep-alive floors: a region that is nobody's home (two regions
     # in one zone) could otherwise be planned to exactly zero on the
     # first epoch, and a zero-rate region has no defined service
     # measurement.  Draw up to the context's per-region floor from the
     # nearest origins — nearest-first keeps the draw SLA-cheap.
-    keep_alive = np.minimum(ctx.floor_rates, ctx.capacity_rates)
-    near_origins = np.argsort(latency_ms, axis=0, kind="stable")
+    keep_alive = np.minimum(ctx.floor_rates, ctx.capacity_rates).tolist()
     for r in range(n_r):
-        shortfall = float(keep_alive[r]) - totals[r]
-        for o in near_origins[:, r]:
+        shortfall = keep_alive[r] - totals[r]
+        for o in near_origins[r]:
             if shortfall <= 0.0:
                 break
-            shortfall -= place(int(o), r, shortfall)
+            shortfall -= place(o, r, shortfall)
 
     # 3. Policy fill: regions in preference order, near origins first.
-    for r in order:
-        for o in near_origins[:, r]:
-            o = int(o)
+    # A non-finite measurement never vetoes a cell.
+    if measured_p95_ms is None:
+        tails = [-math.inf] * n_r
+    else:
+        tails = [
+            tail if math.isfinite(tail) else -math.inf
+            for tail in np.asarray(measured_p95_ms, dtype=np.float64).tolist()
+        ]
+    caps = caps.tolist()
+    for r in np.asarray(order).tolist():
+        for o in near_origins[r]:
             if supply[o] <= 0.0:
                 continue
-            budget = min(budgets[r], user_targets_ms[r] - latency_ms[o, r])
+            budget = min(budgets[r], targets[r] - latency[o][r])
             if budget <= 0.0:
                 continue  # this pair can never meet the SLA
-            if (
-                measured_p95_ms is not None
-                and np.isfinite(measured_p95_ms[r])
-                and measured_p95_ms[r] > budget
-            ):
+            if tails[r] > budget:
                 continue  # the measured tail already blows this budget
             cap = min(caps[r], sla_rate_fn(r, float(budget)))
             room = cap - totals[r]
@@ -746,24 +767,25 @@ def plan_origin_cells(
 
     # 4. Conservation spill: capacity headroom in latency order, then
     # proportional to nominal rates.
-    if supply.sum() > 1e-12:
+    if np.sum(supply) > 1e-12:
+        capacity = np.asarray(ctx.capacity_rates, dtype=np.float64).tolist()
+        by_latency = np.argsort(latency_ms, axis=1, kind="stable").tolist()
         for o in range(n_o):
-            for r in np.argsort(latency_ms[o], kind="stable"):
+            for r in by_latency[o]:
                 if supply[o] <= 0.0:
                     break
-                room = ctx.capacity_rates[r] - totals[r]
+                room = capacity[r] - totals[r]
                 if room > 0.0:
-                    place(o, int(r), room)
-    leftover = float(supply.sum())
-    if leftover > 1e-12:
-        basis = ctx.nominal_rates / ctx.nominal_rates.sum()
-        for o in range(n_o):
-            if supply[o] > 0.0:
+                    place(o, r, room)
+        if np.sum(supply) > 1e-12:
+            basis = (ctx.nominal_rates / ctx.nominal_rates.sum()).tolist()
+            for o in range(n_o):
                 amount = supply[o]
-                plan[o] += amount * basis
-                totals += amount * basis
-                supply[o] = 0.0
-    return plan
+                if amount > 0.0:
+                    row = plan[o]
+                    for r, share in enumerate(basis):
+                        row[r] += amount * share
+    return np.array(plan, dtype=np.float64).reshape(n_o, n_r)
 
 
 ROUTER_NAMES = ("static", "latency", "carbon-greedy", "forecast-aware")

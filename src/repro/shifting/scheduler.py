@@ -319,43 +319,42 @@ class TemporalScheduler:
         next slot's planned volume) gating should hold capacity for.
         """
         n_regions = len(self.ledgers)
-        admitted = np.zeros(n_regions, dtype=np.float64)
-        hold = np.zeros(n_regions, dtype=np.float64)
         lots = sorted(
             self.backlog.pending, key=lambda l: (l.deadline_t_h, l.arrival_t_h)
         )
         if not lots:
-            return admitted, hold
-        requests = np.array([l.requests for l in lots], dtype=np.float64)
-        deadlines = np.array(
-            [self._deadline_slot(l, t_h) for l in lots], dtype=np.int64
-        )
+            return np.zeros(n_regions), np.zeros(n_regions)
+        deadlines = [self._deadline_slot(l, t_h) for l in lots]
         alloc = plan_batch_slots(
-            requests,
-            deadlines,
+            np.array([l.requests for l in lots], dtype=np.float64),
+            np.array(deadlines, dtype=np.int64),
             slot_caps,
             slot_scores,
             preemptible=self.job.preemptible,
         )
         # Spatial placement: fill the cleanest regions' leftover first.
-        order = np.argsort(region_scores, kind="stable")
-        room = region_leftover_rates * self.step_s
+        # A few lots over a few regions: Python floats, same arithmetic
+        # as numpy scalars, in the same order.
+        order = np.argsort(region_scores, kind="stable").tolist()
+        room = (np.asarray(region_leftover_rates) * self.step_s).tolist()
+        eligible = np.asarray(region_eligible).tolist()
+        admitted = [0.0] * n_regions
         epoch_end = t_h + self.step_h
-        for li, lot in enumerate(lots):
-            forced = deadlines[li] == 0
+        for lot, last, share in zip(lots, deadlines, alloc[:, 0].tolist()):
+            forced = last == 0
             # A deadline-forced lot takes whatever leftover exists — the
             # EDF fallback — while plannable work honors the slot-0
             # allocation and the accuracy-floor eligibility mask.
-            target = float(lot.requests) if forced else float(alloc[li, 0])
+            target = float(lot.requests) if forced else share
             if target <= 0.0:
                 continue
             placed_total = 0.0
             for r in order:
                 if target <= 0.0:
                     break
-                if not forced and not region_eligible[r]:
+                if not forced and not eligible[r]:
                     continue
-                take = min(target, float(room[r]))
+                take = min(target, room[r])
                 if take <= 0.0:
                     continue
                 room[r] -= take
@@ -373,7 +372,6 @@ class TemporalScheduler:
         drained = [l for l in self.backlog.pending if l.requests > 1e-9]
         self.backlog.pending.clear()
         self.backlog.pending.extend(drained)
-        admitted_rates = admitted / self.step_s
         # Hold hints: the rate each region should stay provisioned for
         # next epoch — this epoch's admission plus the next slot's
         # planned volume, placed against the remaining leftover.
@@ -383,9 +381,12 @@ class TemporalScheduler:
             for r in order:
                 if upcoming <= 0.0:
                     break
-                take = min(upcoming, float(room[r]))
+                take = min(upcoming, room[r])
                 hold[r] += take
                 upcoming -= take
-            if upcoming > 0.0 and order.size:
+            if upcoming > 0.0 and order:
                 hold[order[0]] += upcoming
-        return admitted_rates, hold / self.step_s
+        return (
+            np.array(admitted, dtype=np.float64) / self.step_s,
+            np.array(hold, dtype=np.float64) / self.step_s,
+        )

@@ -148,3 +148,43 @@ class TestProfileCache:
         assert used == fresh
         assert repr(used) == repr(fresh)
         assert "_profile_cache" not in repr(used)
+
+
+class TestGrowingHistory:
+    """Walking forward through the trace, the run's query pattern, the
+    profile is updated bin by bin; every update equals a full build."""
+
+    @given(trace=traces(), stride=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_each_update_matches_a_full_build(self, trace, stride):
+        forecaster = DiurnalForecaster(trace)
+        for i in range(1, trace.times_h.size, stride):
+            t = float(trace.times_h[i])
+            np.testing.assert_array_equal(
+                bits(forecaster._climatology(t)), bits(oracle_profile(trace, t))
+            )
+
+    def test_hour_rounding_to_24_joins_no_bin(self):
+        """``-1e-15 % 24.0`` is 24.0: that sample counts toward the
+        overall mean of the empty bins but toward no hour bin."""
+        trace = CarbonIntensityTrace(
+            times_h=np.array([-1e-15, 0.5, 1.5, 23.5, 30.0]),
+            values=np.array([900.0, 100.0, 200.0, 300.0, 400.0]),
+        )
+        forecaster = DiurnalForecaster(trace)
+        for t in trace.times_h[1:]:
+            np.testing.assert_array_equal(
+                bits(forecaster._climatology(float(t))),
+                bits(oracle_profile(trace, float(t))),
+            )
+
+    def test_shorter_history_rebuilds(self):
+        rng = np.random.default_rng(5)
+        trace = CarbonIntensityTrace(
+            times_h=np.arange(60.0), values=rng.uniform(50.0, 500.0, 60)
+        )
+        forecaster = DiurnalForecaster(trace)
+        for t in (50.0, 12.0, 13.5, 40.0):
+            np.testing.assert_array_equal(
+                bits(forecaster._climatology(t)), bits(oracle_profile(trace, t))
+            )

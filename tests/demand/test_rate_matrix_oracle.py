@@ -10,6 +10,7 @@ where weekends begin and end.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.demand.diurnal import (
@@ -180,3 +181,77 @@ class TestRateMatrixContract:
         model = DiurnalDemandModel(origins=default_origins(), mean_total_rate_per_s=9.0)
         assert model.total_rates([]).shape == (0,)
         assert model.rate_matrix([]).shape == (0, model.n_origins)
+
+
+#: A 48-h run at default fidelity: 10-minute epochs, and an 8-h batch
+#: deadline planned over 48 slots, 47 of them after the current epoch.
+RUN_STEP_S = 600.0
+RUN_EPOCHS = 288
+RUN_SLOTS = 48
+
+
+def run_tables(model, start_h=0.0):
+    """A run's demand reads: one rate_matrix over every epoch time, and
+    every epoch's total_rates over its future mid-slots, stacked here
+    into one epoch x slot grid read."""
+    times = [start_h + i * RUN_STEP_S / 3600.0 for i in range(RUN_EPOCHS)]
+    offsets = (np.arange(RUN_SLOTS) + 0.5) * (RUN_STEP_S / 3600.0)
+    grid = np.add.outer(np.array(times), offsets[1:])
+    totals = model.total_rates(grid.ravel()).reshape(grid.shape)
+    return times, offsets[1:], model.rate_matrix(times), totals
+
+
+def run_scale_models():
+    origins = default_origins()
+    step_h = RUN_STEP_S / 3600.0
+    bursts = (
+        # Edges on an epoch time, on a mid-slot time and between both.
+        BurstEvent(start_h=10.0, duration_h=5.0, magnitude=2.5),
+        BurstEvent(
+            start_h=20.0 + 0.5 * step_h, duration_h=7 * step_h,
+            magnitude=0.4, origin=origins[1].name,
+        ),
+        BurstEvent(start_h=31.3, duration_h=0.01, magnitude=3.0,
+                   origin=origins[0].name),
+    )
+    return [
+        DiurnalDemandModel(origins=origins, mean_total_rate_per_s=37.5),
+        DiurnalDemandModel(
+            origins=origins, mean_total_rate_per_s=1234.5,
+            day_night_swing=0.8, weekend_damping=0.6, bursts=bursts,
+        ),
+        ConstantDemandModel(origins=origins, mean_total_rate_per_s=37.5),
+    ]
+
+
+class TestRunScaleTables:
+    """Batched = scalar at run scale: numpy's long-array loops must
+    return each row's floats exactly as a one-time read."""
+
+    # 0 h is the run's own grid; 100 h crosses every origin's local
+    # Saturday midnight, where the weekend damping begins.
+    @pytest.mark.parametrize("start_h", [0.0, 100.0])
+    @pytest.mark.parametrize("model_index", range(3))
+    def test_rows_equal_per_time_reads(self, model_index, start_h):
+        model = run_scale_models()[model_index]
+        times, offsets, matrix, totals = run_tables(model, start_h)
+        assert matrix.shape == (RUN_EPOCHS, model.n_origins)
+        assert totals.shape == (RUN_EPOCHS, RUN_SLOTS - 1)
+        for i, t_h in enumerate(times):
+            np.testing.assert_array_equal(bits(matrix[i]), bits(model.rates(t_h)))
+            np.testing.assert_array_equal(
+                bits(totals[i]), bits(model.total_rates(t_h + offsets))
+            )
+            scalar = [model.total_rate(float(t)) for t in t_h + offsets]
+            np.testing.assert_array_equal(bits(totals[i]), bits(scalar))
+
+    def test_weekend_edges_fall_inside_the_late_grid(self):
+        model = run_scale_models()[1]
+        times, offsets, _, totals = run_tables(model, 100.0)
+        local_days = {
+            int(np.floor((t + o.utc_offset_h) / 24.0)) % 7
+            for t in (times[0], times[-1] + offsets[-1])
+            for o in model.origins
+        }
+        assert local_days & set(WEEKEND_DAYS)
+        assert local_days - set(WEEKEND_DAYS)

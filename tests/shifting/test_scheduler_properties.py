@@ -7,13 +7,24 @@ reference within summation-order noise, every plan respects capacity and
 deadline eligibility, and EDF water-filling never misses a deadline the
 slot capacities could have met (Hall's condition on the nested deadline
 windows — the scheduler's no-miss claim).
+
+``TemporalScheduler.plan_epoch``'s spatial placement over Python lists
+equals the numpy-scalar loop it replaced (``plan_epoch_numpy``) bit for
+bit, ledgers and backlog included.
 """
+
+import copy
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.shifting import plan_batch_slots
+from repro.shifting import (
+    BatchJobClass,
+    BatchLot,
+    TemporalScheduler,
+    plan_batch_slots,
+)
 
 RTOL = 1e-9
 
@@ -319,3 +330,188 @@ class TestNoMissWhileFeasible:
             due = requests[clipped <= last].sum()
             room = caps[: last + 1].sum()
             assert due > room - 1e-6
+
+
+def plan_epoch_numpy(
+    sched,
+    epoch,
+    t_h,
+    region_scores,
+    region_leftover_rates,
+    region_eligible,
+    slot_scores,
+    slot_caps,
+):
+    """``TemporalScheduler.plan_epoch`` as it ran with its spatial
+    placement on numpy arrays and scalars: the bit-for-bit oracle for
+    the placement over Python lists."""
+    n_regions = len(sched.ledgers)
+    admitted = np.zeros(n_regions, dtype=np.float64)
+    hold = np.zeros(n_regions, dtype=np.float64)
+    lots = sorted(
+        sched.backlog.pending, key=lambda l: (l.deadline_t_h, l.arrival_t_h)
+    )
+    if not lots:
+        return admitted, hold
+    requests = np.array([l.requests for l in lots], dtype=np.float64)
+    deadlines = np.array(
+        [sched._deadline_slot(l, t_h) for l in lots], dtype=np.int64
+    )
+    alloc = plan_batch_slots(
+        requests,
+        deadlines,
+        slot_caps,
+        slot_scores,
+        preemptible=sched.job.preemptible,
+    )
+    # Spatial placement: fill the cleanest regions' leftover first.
+    order = np.argsort(region_scores, kind="stable")
+    room = region_leftover_rates * sched.step_s
+    epoch_end = t_h + sched.step_h
+    for li, lot in enumerate(lots):
+        forced = deadlines[li] == 0
+        # A deadline-forced lot takes whatever leftover exists — the
+        # EDF fallback — while plannable work honors the slot-0
+        # allocation and the accuracy-floor eligibility mask.
+        target = float(lot.requests) if forced else float(alloc[li, 0])
+        if target <= 0.0:
+            continue
+        placed_total = 0.0
+        for r in order:
+            if target <= 0.0:
+                break
+            if not forced and not region_eligible[r]:
+                continue
+            take = min(target, float(room[r]))
+            if take <= 0.0:
+                continue
+            room[r] -= take
+            target -= take
+            placed_total += take
+            admitted[r] += take
+            sched.ledgers[r].record(
+                epoch=epoch,
+                t_h=t_h,
+                requests=take,
+                age_h=t_h - lot.arrival_t_h,
+                on_time=epoch_end <= lot.deadline_t_h + 1e-9,
+            )
+        lot.requests -= placed_total
+    drained = [l for l in sched.backlog.pending if l.requests > 1e-9]
+    sched.backlog.pending.clear()
+    sched.backlog.pending.extend(drained)
+    admitted_rates = admitted / sched.step_s
+    # Hold hints: the rate each region should stay provisioned for
+    # next epoch — this epoch's admission plus the next slot's
+    # planned volume, placed against the remaining leftover.
+    hold = admitted.copy()
+    if alloc.shape[1] > 1:
+        upcoming = float(alloc[:, 1].sum())
+        for r in order:
+            if upcoming <= 0.0:
+                break
+            take = min(upcoming, float(room[r]))
+            hold[r] += take
+            upcoming -= take
+        if upcoming > 0.0 and order.size:
+            hold[order[0]] += upcoming
+    return admitted_rates, hold / sched.step_s
+
+
+def _completion_bits(sched):
+    return [
+        [
+            (c.epoch, c.t_h.hex(), float(c.requests).hex(),
+             float(c.age_h).hex(), c.on_time)
+            for c in ledger.completions
+        ]
+        for ledger in sched.ledgers
+    ]
+
+
+def _backlog_bits(sched):
+    return [
+        (l.arrival_t_h.hex(), l.deadline_t_h.hex(), float(l.requests).hex(),
+         float(l.requests_total).hex())
+        for l in sched.backlog.pending
+    ]
+
+
+@st.composite
+def placement_problems(draw):
+    """A scheduler with a random backlog — forced, overdue and
+    near-empty lots among ordinary ones — over 1 to 6 regions, some with
+    no leftover and some ineligible."""
+    n_regions = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    step_s = draw(st.sampled_from([600.0, 1800.0, 3600.0]))
+    job = BatchJobClass(
+        jobs_per_h=draw(st.floats(min_value=1.0, max_value=500.0)),
+        requests_per_job=draw(st.sampled_from([1.0, 10.0, 100.0])),
+        deadline_h=draw(st.sampled_from([0.5, 2.0, 8.0])),
+        preemptible=draw(st.booleans()),
+        defer=draw(st.integers(0, 4)) > 0,
+    )
+    sched = TemporalScheduler(
+        job, step_s, tuple(f"region-{r}" for r in range(n_regions))
+    )
+    t_h = float(rng.integers(0, 48)) * step_s / 3600.0
+    for _ in range(draw(st.integers(min_value=1, max_value=48))):
+        kind = rng.random()
+        arrival = t_h - rng.uniform(0.0, 2.0 * job.deadline_h)
+        deadline = arrival + job.deadline_h
+        if kind < 0.15:
+            deadline = t_h - rng.uniform(0.0, 1.0)  # overdue
+        elif kind < 0.3:
+            deadline = t_h + rng.uniform(0.0, step_s / 3600.0)  # forced
+        requests = rng.uniform(0.0, 2.0e3)
+        if rng.random() < 0.15:
+            requests = rng.uniform(0.0, 2e-9)  # near-empty
+        elif rng.random() < 0.2:
+            requests = float(round(requests))
+        sched.backlog.enqueue(
+            BatchLot(arrival_t_h=arrival, deadline_t_h=deadline,
+                     requests=requests)
+        )
+    leftover = rng.uniform(0.0, 2.0, n_regions)
+    leftover[rng.random(n_regions) < 0.3] = 0.0
+    scores = rng.uniform(20.0, 400.0, n_regions)
+    if rng.random() < 0.5:
+        scores = scores.round(-2)  # ties keep the stable order
+    eligible = rng.random(n_regions) < 0.7
+    n_slots = sched.horizon_slots
+    slot_caps = rng.uniform(0.0, 5.0e3, n_slots)
+    slot_caps[rng.random(n_slots) < 0.2] = 0.0
+    slot_scores = rng.uniform(20.0, 400.0, n_slots)
+    epochs = draw(st.integers(min_value=1, max_value=3))
+    return sched, t_h, scores, leftover, eligible, slot_scores, slot_caps, epochs
+
+
+class TestPlanEpochMatchesNumpy:
+    """Spatial placement over Python lists equals the numpy-scalar loop
+    bit for bit: admissions, hold hints, every ledger completion and the
+    backlog left behind, over consecutive epochs."""
+
+    @given(problem=placement_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_epochs_bit_for_bit(self, problem):
+        (
+            sched, t_h, scores, leftover, eligible, slot_scores, slot_caps,
+            epochs,
+        ) = problem
+        got, ref = copy.deepcopy(sched), copy.deepcopy(sched)
+        for k in range(epochs):
+            now = t_h + k * sched.step_h
+            if k:
+                got.observe_arrivals(now)
+                ref.observe_arrivals(now)
+            args = (
+                k, now, scores, leftover, eligible, slot_scores, slot_caps,
+            )
+            admitted, hold = got.plan_epoch(*args)
+            admitted_ref, hold_ref = plan_epoch_numpy(ref, *args)
+            assert admitted.tobytes() == admitted_ref.tobytes()
+            assert hold.tobytes() == hold_ref.tobytes()
+            assert admitted.dtype == admitted_ref.dtype == np.float64
+            assert _completion_bits(got) == _completion_bits(ref)
+            assert _backlog_bits(got) == _backlog_bits(ref)
