@@ -63,59 +63,23 @@ TOML/JSON round-trips, sweeps, the experiment registry), and
 :mod:`repro.analysis` (paper-figure experiment harness).
 """
 
-from repro.core.service import CarbonAwareInferenceService, FidelityProfile
-from repro.core.controller import RunResult
-from repro.demand import (
-    DiurnalDemandModel,
-    GeoOrigin,
-    LatencyMatrix,
-    default_origins,
-)
-from repro.fleet import (
-    FleetCoordinator,
-    FleetResult,
-    GatingPolicy,
-    Region,
-    default_fleet_regions,
-    region_by_name,
-)
-from repro.gpu.profiles import DevicePool, DeviceProfile, profile_by_name
-from repro.models.zoo import default_zoo
-from repro.models.perf import PerfModel
-from repro.carbon.traces import evaluation_traces, trace_by_name
-from repro.scenarios import (
-    RegionSpec,
-    Scenario,
-    ScenarioSpec,
-    run_sweep,
-)
+from repro.utils.lazy import lazy_exports
 
 __version__ = "1.3.0"
 
-__all__ = [
-    "CarbonAwareInferenceService",
-    "FidelityProfile",
-    "RunResult",
-    "FleetCoordinator",
-    "FleetResult",
-    "GatingPolicy",
-    "Region",
-    "default_fleet_regions",
-    "region_by_name",
-    "GeoOrigin",
-    "DiurnalDemandModel",
-    "LatencyMatrix",
-    "default_origins",
-    "DeviceProfile",
-    "DevicePool",
-    "profile_by_name",
-    "default_zoo",
-    "PerfModel",
-    "evaluation_traces",
-    "trace_by_name",
-    "ScenarioSpec",
-    "RegionSpec",
-    "Scenario",
-    "run_sweep",
-    "__version__",
-]
+__all__ = lazy_exports(__name__, {
+    "core.service": ("CarbonAwareInferenceService", "FidelityProfile"),
+    "core.controller": ("RunResult",),
+    "demand": (
+        "DiurnalDemandModel", "GeoOrigin", "LatencyMatrix", "default_origins",
+    ),
+    "fleet": (
+        "FleetCoordinator", "FleetResult", "GatingPolicy", "Region",
+        "default_fleet_regions", "region_by_name",
+    ),
+    "gpu.profiles": ("DevicePool", "DeviceProfile", "profile_by_name"),
+    "models.zoo": ("default_zoo",),
+    "models.perf": ("PerfModel",),
+    "carbon.traces": ("evaluation_traces", "trace_by_name"),
+    "scenarios": ("RegionSpec", "Scenario", "ScenarioSpec", "run_sweep"),
+}) + ["__version__"]

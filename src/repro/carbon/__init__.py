@@ -11,58 +11,22 @@ Replaces the paper's live grid feeds (CISO/ESO) and carbontracker meter:
 * :mod:`repro.carbon.forecast` — intensity forecasting building blocks.
 """
 
-from repro.carbon.intensity import CarbonIntensityTrace
-from repro.carbon.generator import (
-    GridProfile,
-    generate_trace,
-    CISO_MARCH,
-    CISO_SEPTEMBER,
-    ESO_MARCH,
-)
-from repro.carbon.traces import (
-    ciso_march_48h,
-    ciso_september_48h,
-    eso_march_48h,
-    evaluation_traces,
-    trace_by_name,
-    EVALUATION_SPAN_HOURS,
-)
-from repro.carbon.accounting import (
-    DEFAULT_PUE,
-    joules_to_kwh,
-    carbon_grams,
-    CarbonAccountant,
-)
-from repro.carbon.monitor import CarbonIntensityMonitor, DEFAULT_CHANGE_THRESHOLD
-from repro.carbon.embodied import EmbodiedCarbonModel, TotalCarbonBreakdown
-from repro.carbon.forecast import (
-    PersistenceForecaster,
-    DiurnalForecaster,
-    forecast_mae,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "CarbonIntensityTrace",
-    "GridProfile",
-    "generate_trace",
-    "CISO_MARCH",
-    "CISO_SEPTEMBER",
-    "ESO_MARCH",
-    "ciso_march_48h",
-    "ciso_september_48h",
-    "eso_march_48h",
-    "evaluation_traces",
-    "trace_by_name",
-    "EVALUATION_SPAN_HOURS",
-    "DEFAULT_PUE",
-    "joules_to_kwh",
-    "carbon_grams",
-    "CarbonAccountant",
-    "CarbonIntensityMonitor",
-    "DEFAULT_CHANGE_THRESHOLD",
-    "EmbodiedCarbonModel",
-    "TotalCarbonBreakdown",
-    "PersistenceForecaster",
-    "DiurnalForecaster",
-    "forecast_mae",
-]
+__all__ = lazy_exports(__name__, {
+    "intensity": ("CarbonIntensityTrace",),
+    "generator": (
+        "GridProfile", "generate_trace", "CISO_MARCH", "CISO_SEPTEMBER",
+        "ESO_MARCH",
+    ),
+    "traces": (
+        "ciso_march_48h", "ciso_september_48h", "eso_march_48h",
+        "evaluation_traces", "trace_by_name", "EVALUATION_SPAN_HOURS",
+    ),
+    "accounting": (
+        "DEFAULT_PUE", "joules_to_kwh", "carbon_grams", "CarbonAccountant",
+    ),
+    "monitor": ("CarbonIntensityMonitor", "DEFAULT_CHANGE_THRESHOLD"),
+    "embodied": ("EmbodiedCarbonModel", "TotalCarbonBreakdown"),
+    "forecast": ("PersistenceForecaster", "DiurnalForecaster", "forecast_mae"),
+})

@@ -78,10 +78,13 @@ class CarbonIntensityTrace:
 
     def at(self, t_h: float | np.ndarray) -> float | np.ndarray:
         """Carbon intensity at time(s) ``t_h`` (hours); clamped to the span."""
-        t = np.clip(np.asarray(t_h, dtype=np.float64), self.start_h, self.end_h)
         if self.interpolation == "linear":
-            out = np.interp(t, self.times_h, self.values)
+            # np.interp holds values[0]/values[-1] outside the samples.
+            out = np.interp(t_h, self.times_h, self.values)
         else:
+            t = np.clip(
+                np.asarray(t_h, dtype=np.float64), self.start_h, self.end_h
+            )
             idx = np.searchsorted(self.times_h, t, side="right") - 1
             idx = np.clip(idx, 0, self.times_h.size - 1)
             out = self.values[idx]

@@ -30,10 +30,6 @@ import argparse
 import sys
 import time
 
-from repro.analysis.experiments import EXPERIMENT_REGISTRY
-from repro.analysis.runner import ExperimentRunner
-from repro.analysis.reporting import render
-
 __all__ = ["main", "build_parser"]
 
 #: Suffixes `run`/`sweep` treat as scenario files rather than experiments.
@@ -60,8 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         metavar="EXPERIMENT|SCENARIO.toml",
         help=(
-            f"one of: {', '.join(sorted(EXPERIMENT_REGISTRY))}, 'all', or "
-            "a path to a .toml/.json scenario file"
+            "an experiment name ('clover-repro list' shows them), 'all', "
+            "or a path to a .toml/.json scenario file"
         ),
     )
     run.add_argument(
@@ -144,6 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list() -> int:
+    from repro.analysis.experiments import EXPERIMENT_REGISTRY
+
     for name in sorted(EXPERIMENT_REGISTRY):
         print(name)
     return 0
@@ -261,28 +259,34 @@ def _run_scenario_file(path: str, fidelity: str | None, seed: int | None) -> int
 
 def _cmd_run(args: argparse.Namespace) -> int:
     names = list(args.experiments)
-    if names == ["all"]:
-        names = sorted(EXPERIMENT_REGISTRY)
     scenario_paths = [n for n in names if _is_scenario_path(n)]
     experiment_names = [n for n in names if not _is_scenario_path(n)]
-    unknown = [n for n in experiment_names if n not in EXPERIMENT_REGISTRY]
-    if unknown:
-        print(
-            f"unknown experiment(s): {', '.join(unknown)}; "
-            f"valid: {', '.join(sorted(EXPERIMENT_REGISTRY))}, "
-            "or a .toml/.json scenario file path",
-            file=sys.stderr,
-        )
-        return 2
-    fidelity = args.fidelity or "default"
-    seed = args.seed if args.seed is not None else 0
-    runner = ExperimentRunner()
-    for name in experiment_names:
-        t0 = time.perf_counter()
-        result = EXPERIMENT_REGISTRY[name](runner, fidelity, seed)
-        dt = time.perf_counter() - t0
-        print(render(result, title=f"== {name} ({fidelity}, {dt:.1f}s) =="))
-        print()
+    # Scenario files never load the experiment harness.
+    if experiment_names:
+        from repro.analysis.experiments import EXPERIMENT_REGISTRY
+        from repro.analysis.reporting import render
+        from repro.analysis.runner import ExperimentRunner
+
+        if names == ["all"]:
+            experiment_names = sorted(EXPERIMENT_REGISTRY)
+        unknown = [n for n in experiment_names if n not in EXPERIMENT_REGISTRY]
+        if unknown:
+            print(
+                f"unknown experiment(s): {', '.join(unknown)}; "
+                f"valid: {', '.join(sorted(EXPERIMENT_REGISTRY))}, "
+                "or a .toml/.json scenario file path",
+                file=sys.stderr,
+            )
+            return 2
+        fidelity = args.fidelity or "default"
+        seed = args.seed if args.seed is not None else 0
+        runner = ExperimentRunner()
+        for name in experiment_names:
+            t0 = time.perf_counter()
+            result = EXPERIMENT_REGISTRY[name](runner, fidelity, seed)
+            dt = time.perf_counter() - t0
+            print(render(result, title=f"== {name} ({fidelity}, {dt:.1f}s) =="))
+            print()
     for path in scenario_paths:
         code = _run_scenario_file(path, args.fidelity, args.seed)
         if code != 0:
@@ -387,7 +391,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     from pathlib import Path
 
+    from repro.analysis.experiments import EXPERIMENT_REGISTRY
     from repro.analysis.export import table_to_csv, table_to_json
+    from repro.analysis.runner import ExperimentRunner
 
     names = list(args.experiments)
     if names == ["all"]:

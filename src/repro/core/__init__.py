@@ -12,100 +12,34 @@
 * :mod:`repro.core.service` — the public facade.
 """
 
-from repro.core.config import (
-    ClusterConfig,
-    GpuAssignment,
-    uniform_config,
-    base_config,
-    co2opt_config,
-)
-from repro.core.graph import ConfigGraph, graph_edit_distance
-from repro.core.feasibility import graph_is_feasible, realize_graph
-from repro.core.objective import ObjectiveSpec, ObjectiveValue
-from repro.core.evaluator import ConfigEvaluator, Evaluation
-from repro.core.moves import MoveGenerator, partition_neighbors, GED_THRESHOLD
-from repro.core.annealing import (
-    SAParams,
-    OptimizationCostModel,
-    EvaluatedCandidate,
-    OptimizationResult,
-    simulated_annealing,
-    random_search,
-)
-from repro.core.schemes import (
-    Scheme,
-    BaseScheme,
-    Co2OptScheme,
-    BloverScheme,
-    CloverScheme,
-    OracleScheme,
-    make_scheme,
-    SCHEME_NAMES,
-    InvocationOutcome,
-    enumerate_standardized_configs,
-)
-from repro.core.controller import (
-    ServiceController,
-    RunResult,
-    EpochRecord,
-    InvocationRecord,
-    CandidateRecord,
-)
-from repro.core.pods import MultiApplicationService, PodSpec, FleetReport
-from repro.core.service import (
-    CarbonAwareInferenceService,
-    FidelityProfile,
-    Baseline,
-    derive_baseline,
-    PAPER_N_GPUS,
-    PAPER_LAMBDA,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ClusterConfig",
-    "GpuAssignment",
-    "uniform_config",
-    "base_config",
-    "co2opt_config",
-    "ConfigGraph",
-    "graph_edit_distance",
-    "graph_is_feasible",
-    "realize_graph",
-    "ObjectiveSpec",
-    "ObjectiveValue",
-    "ConfigEvaluator",
-    "Evaluation",
-    "MoveGenerator",
-    "partition_neighbors",
-    "GED_THRESHOLD",
-    "SAParams",
-    "OptimizationCostModel",
-    "EvaluatedCandidate",
-    "OptimizationResult",
-    "simulated_annealing",
-    "random_search",
-    "Scheme",
-    "BaseScheme",
-    "Co2OptScheme",
-    "BloverScheme",
-    "CloverScheme",
-    "OracleScheme",
-    "make_scheme",
-    "SCHEME_NAMES",
-    "InvocationOutcome",
-    "enumerate_standardized_configs",
-    "ServiceController",
-    "RunResult",
-    "EpochRecord",
-    "InvocationRecord",
-    "CandidateRecord",
-    "MultiApplicationService",
-    "PodSpec",
-    "FleetReport",
-    "CarbonAwareInferenceService",
-    "FidelityProfile",
-    "Baseline",
-    "derive_baseline",
-    "PAPER_N_GPUS",
-    "PAPER_LAMBDA",
-]
+__all__ = lazy_exports(__name__, {
+    "config": (
+        "ClusterConfig", "GpuAssignment", "uniform_config", "base_config",
+        "co2opt_config",
+    ),
+    "graph": ("ConfigGraph", "graph_edit_distance"),
+    "feasibility": ("graph_is_feasible", "realize_graph"),
+    "objective": ("ObjectiveSpec", "ObjectiveValue"),
+    "evaluator": ("ConfigEvaluator", "Evaluation"),
+    "moves": ("MoveGenerator", "partition_neighbors", "GED_THRESHOLD"),
+    "annealing": (
+        "SAParams", "OptimizationCostModel", "EvaluatedCandidate",
+        "OptimizationResult", "simulated_annealing", "random_search",
+    ),
+    "schemes": (
+        "Scheme", "BaseScheme", "Co2OptScheme", "BloverScheme",
+        "CloverScheme", "OracleScheme", "make_scheme", "SCHEME_NAMES",
+        "InvocationOutcome", "enumerate_standardized_configs",
+    ),
+    "controller": (
+        "ServiceController", "RunResult", "EpochRecord", "InvocationRecord",
+        "CandidateRecord",
+    ),
+    "pods": ("MultiApplicationService", "PodSpec", "FleetReport"),
+    "service": (
+        "CarbonAwareInferenceService", "FidelityProfile", "Baseline",
+        "derive_baseline", "PAPER_N_GPUS", "PAPER_LAMBDA",
+    ),
+})

@@ -53,11 +53,11 @@ code path, cache keys and results are bit-for-bit the seed evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from repro.core.config import ClusterConfig
-from repro.core.feasibility import realize_graph
 from repro.core.graph import ConfigGraph
 from repro.gpu.profiles import DevicePool
 from repro.models.perf import PerfModel
@@ -185,6 +185,7 @@ class ConfigEvaluator:
     _device_perfs: tuple[PerfModel, ...] | None = field(
         default=None, init=False, repr=False
     )
+    _realize_graph: Callable | None = field(default=None, init=False, repr=False)
     # Lazily-built (variant x slice-type) lookup tables; cells are filled
     # on first use because some combinations are infeasible (OOM) and must
     # only be priced when a graph actually hosts them.
@@ -224,6 +225,11 @@ class ConfigEvaluator:
                 # so cache keys and arithmetic stay bit-for-bit identical.
                 self.device_pool = None
             else:
+                # Only a pool places graphs on concrete devices, so only
+                # a pool loads the feasibility bridge.
+                from repro.core.feasibility import realize_graph
+
+                self._realize_graph = realize_graph
                 self._device_perfs = tuple(
                     p.perf(self.perf) for p in self.device_pool.profiles
                 )
@@ -535,7 +541,7 @@ class ConfigEvaluator:
         always gates the least-efficient silicon.
         """
         fam = self.zoo.family(self.family)
-        config = realize_graph(
+        config = self._realize_graph(
             graph, n_powered,
             max_partition_id=self.device_pool.partition_granularity,
         )

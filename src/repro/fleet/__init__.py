@@ -41,63 +41,25 @@ A :class:`~repro.scenarios.ScenarioSpec` describes a fleet and
 True
 """
 
-from repro.fleet.capacity import (
-    GATING_MODES,
-    CapacityDecision,
-    CapacityManager,
-    GatingPolicy,
-    make_gating_policy,
-)
-from repro.fleet.coordinator import (
-    DEFAULT_DEMAND_SCALE,
-    DEFAULT_FLOOR_SHARE,
-    FleetCoordinator,
-    FleetResult,
-    share_evaluator_caches,
-)
-from repro.fleet.regional import DEFAULT_MAX_UTILIZATION, RegionalService
-from repro.fleet.regions import (
-    REGION_NAMES,
-    Region,
-    default_fleet_regions,
-    make_region,
-    region_by_name,
-)
-from repro.fleet.routing import (
-    ROUTER_NAMES,
-    CarbonGreedyRouter,
-    ForecastAwareRouter,
-    LatencyAwareRouter,
-    Router,
-    RoutingContext,
-    StaticRouter,
-    make_router,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Region",
-    "REGION_NAMES",
-    "region_by_name",
-    "default_fleet_regions",
-    "make_region",
-    "RegionalService",
-    "DEFAULT_MAX_UTILIZATION",
-    "Router",
-    "RoutingContext",
-    "StaticRouter",
-    "LatencyAwareRouter",
-    "CarbonGreedyRouter",
-    "ForecastAwareRouter",
-    "ROUTER_NAMES",
-    "make_router",
-    "FleetCoordinator",
-    "FleetResult",
-    "share_evaluator_caches",
-    "DEFAULT_FLOOR_SHARE",
-    "DEFAULT_DEMAND_SCALE",
-    "GatingPolicy",
-    "CapacityManager",
-    "CapacityDecision",
-    "GATING_MODES",
-    "make_gating_policy",
-]
+__all__ = lazy_exports(__name__, {
+    "regions": (
+        "Region", "REGION_NAMES", "region_by_name", "default_fleet_regions",
+        "make_region",
+    ),
+    "regional": ("RegionalService", "DEFAULT_MAX_UTILIZATION"),
+    "routing": (
+        "Router", "RoutingContext", "StaticRouter", "LatencyAwareRouter",
+        "CarbonGreedyRouter", "ForecastAwareRouter", "ROUTER_NAMES",
+        "make_router",
+    ),
+    "coordinator": (
+        "FleetCoordinator", "FleetResult", "share_evaluator_caches",
+        "DEFAULT_FLOOR_SHARE", "DEFAULT_DEMAND_SCALE",
+    ),
+    "capacity": (
+        "GatingPolicy", "CapacityManager", "CapacityDecision", "GATING_MODES",
+        "make_gating_policy",
+    ),
+})

@@ -55,18 +55,21 @@ evaluators price its energy and carbon with no second accounting path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.carbon.forecast import make_forecaster
 from repro.core.controller import EpochCapacity, RunResult
 from repro.core.evaluator import CacheStats
-from repro.demand import DemandModel, LatencyMatrix, assign_origin_traffic
-from repro.fleet.capacity import CapacityManager, GatingPolicy
 from repro.fleet.regional import RegionalService
 from repro.fleet.regions import Region
 from repro.fleet.routing import Router, RoutingContext, plan_origin_cells
-from repro.shifting import BatchCompletion, BatchJobClass, TemporalScheduler
+
+if TYPE_CHECKING:
+    from repro.demand import DemandModel, LatencyMatrix
+    from repro.fleet.capacity import GatingPolicy
+    from repro.shifting import BatchCompletion, BatchJobClass
 
 __all__ = [
     "FleetCoordinator",
@@ -676,6 +679,8 @@ class FleetCoordinator:
                 "demand model and latency matrix come together: both or neither"
             )
         if demand is not None:
+            from repro.demand import assign_origin_traffic
+
             if latency_matrix.origin_names != demand.origin_names:
                 raise ValueError(
                     f"latency matrix origins {latency_matrix.origin_names} != "
@@ -686,6 +691,9 @@ class FleetCoordinator:
                     f"latency matrix regions {latency_matrix.region_names} != "
                     f"fleet regions {tuple(names)}"
                 )
+            # Pair-blind routers' transport step, bound here so a
+            # constant-demand fleet never loads the demand layer.
+            self._assign_origin_traffic = assign_origin_traffic
         self.services = list(services)
         self.router = router
         self.demand = demand
@@ -788,6 +796,8 @@ class FleetCoordinator:
                             "gated epoch would out-spend its always-on twin "
                             "— raise wake_latency_s or override wake_energy_j"
                         )
+            from repro.fleet.capacity import CapacityManager
+
             self._managers = [
                 CapacityManager(
                     n_gpus=s.region.n_gpus,
@@ -805,6 +815,8 @@ class FleetCoordinator:
         self._batch_scheduler = None
         self._batch_forecasters = None
         if batch is not None:
+            from repro.shifting import TemporalScheduler
+
             self._batch_scheduler = TemporalScheduler(
                 batch, self.step_s, tuple(names)
             )
@@ -1281,7 +1293,7 @@ class FleetCoordinator:
                     # Pair-blind policies (the static geo-DNS baseline):
                     # regional split first, min-latency transport after.
                     rates = self.router.split(ctx) * global_rate
-                    plan = assign_origin_traffic(
+                    plan = self._assign_origin_traffic(
                         origin_rates, rates, self.latency_matrix.latency_ms
                     )
                 else:

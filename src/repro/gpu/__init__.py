@@ -13,56 +13,21 @@ GPUs with Multi-Instance GPU (MIG) partitioning.  It provides
   granularities (:mod:`repro.gpu.profiles`).
 """
 
-from repro.gpu.slices import SliceType, SLICE_TYPES, slice_by_name
-from repro.gpu.partitions import (
-    MigPartition,
-    MIG_PARTITIONS,
-    partition_by_id,
-    partition_histogram,
-    FULL_GPU_PARTITION_ID,
-    FINEST_PARTITION_ID,
-    NUM_PARTITIONS,
-)
-from repro.gpu.device import GpuDevice, GpuSpec, A100_40GB
-from repro.gpu.power import PowerModel
-from repro.gpu.cluster import GpuCluster, decompose_histogram, histogram_is_feasible
-from repro.gpu.profiles import (
-    A100_PROFILE,
-    DEVICE_NAMES,
-    DEVICE_PROFILES,
-    DevicePool,
-    DeviceProfile,
-    H100_PROFILE,
-    L4_PROFILE,
-    parse_devices,
-    profile_by_name,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "SliceType",
-    "SLICE_TYPES",
-    "slice_by_name",
-    "MigPartition",
-    "MIG_PARTITIONS",
-    "partition_by_id",
-    "partition_histogram",
-    "FULL_GPU_PARTITION_ID",
-    "FINEST_PARTITION_ID",
-    "NUM_PARTITIONS",
-    "GpuDevice",
-    "GpuSpec",
-    "A100_40GB",
-    "PowerModel",
-    "GpuCluster",
-    "decompose_histogram",
-    "histogram_is_feasible",
-    "DeviceProfile",
-    "DevicePool",
-    "DEVICE_PROFILES",
-    "DEVICE_NAMES",
-    "A100_PROFILE",
-    "H100_PROFILE",
-    "L4_PROFILE",
-    "profile_by_name",
-    "parse_devices",
-]
+__all__ = lazy_exports(__name__, {
+    "slices": ("SliceType", "SLICE_TYPES", "slice_by_name"),
+    "partitions": (
+        "MigPartition", "MIG_PARTITIONS", "partition_by_id",
+        "partition_histogram", "FULL_GPU_PARTITION_ID",
+        "FINEST_PARTITION_ID", "NUM_PARTITIONS",
+    ),
+    "device": ("GpuDevice", "GpuSpec", "A100_40GB"),
+    "power": ("PowerModel",),
+    "cluster": ("GpuCluster", "decompose_histogram", "histogram_is_feasible"),
+    "profiles": (
+        "DeviceProfile", "DevicePool", "DEVICE_PROFILES", "DEVICE_NAMES",
+        "A100_PROFILE", "H100_PROFILE", "L4_PROFILE", "profile_by_name",
+        "parse_devices",
+    ),
+})

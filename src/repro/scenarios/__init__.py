@@ -25,60 +25,20 @@ Quickstart::
     print(result.scheme_by_region, result.total_carbon_g)
 """
 
-from repro.scenarios.registry import (
-    Experiment,
-    experiment,
-    experiment_registry,
-    get_experiment,
-)
-from repro.scenarios.scenario import Scenario, build_coordinator, execute_spec
-from repro.scenarios.serialize import (
-    SweepConfig,
-    load_scenario_file,
-    spec_from_dict,
-    spec_from_json,
-    spec_from_toml,
-    spec_to_dict,
-    spec_to_json,
-    spec_to_toml,
-)
-from repro.scenarios.spec import (
-    DEMAND_KINDS,
-    FIDELITY_NAMES,
-    BatchSpec,
-    DemandSpec,
-    GatingSpec,
-    RegionSpec,
-    RoutingSpec,
-    ScenarioSpec,
-)
-from repro.scenarios.sweep import expand, run_sweep, sweep
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ScenarioSpec",
-    "RegionSpec",
-    "DemandSpec",
-    "RoutingSpec",
-    "GatingSpec",
-    "BatchSpec",
-    "FIDELITY_NAMES",
-    "DEMAND_KINDS",
-    "Scenario",
-    "build_coordinator",
-    "execute_spec",
-    "expand",
-    "run_sweep",
-    "sweep",
-    "spec_to_dict",
-    "spec_from_dict",
-    "spec_to_toml",
-    "spec_from_toml",
-    "spec_to_json",
-    "spec_from_json",
-    "load_scenario_file",
-    "SweepConfig",
-    "Experiment",
-    "experiment",
-    "experiment_registry",
-    "get_experiment",
-]
+__all__ = lazy_exports(__name__, {
+    "spec": (
+        "ScenarioSpec", "RegionSpec", "DemandSpec", "RoutingSpec",
+        "GatingSpec", "BatchSpec", "FIDELITY_NAMES", "DEMAND_KINDS",
+    ),
+    "scenario": ("Scenario", "build_coordinator", "execute_spec"),
+    "sweep": ("expand", "run_sweep", "sweep"),
+    "serialize": (
+        "spec_to_dict", "spec_from_dict", "spec_to_toml", "spec_from_toml",
+        "spec_to_json", "spec_from_json", "load_scenario_file", "SweepConfig",
+    ),
+    "registry": (
+        "Experiment", "experiment", "experiment_registry", "get_experiment",
+    ),
+})

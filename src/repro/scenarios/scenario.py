@@ -22,24 +22,17 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core.service import FidelityProfile
-from repro.demand import (
-    default_demand,
-    default_latency_matrix,
-    default_origins,
-)
-from repro.fleet import (
+from repro.fleet.coordinator import (
     FleetCoordinator,
     FleetResult,
-    RegionalService,
-    make_gating_policy,
-    make_router,
-    region_by_name,
     share_evaluator_caches,
 )
+from repro.fleet.regional import RegionalService
+from repro.fleet.regions import region_by_name
+from repro.fleet.routing import make_router
 from repro.models.perf import PerfModel
 from repro.models.zoo import default_zoo
 from repro.scenarios.spec import ScenarioSpec
-from repro.shifting import BatchJobClass
 
 __all__ = ["Scenario", "build_coordinator", "execute_spec"]
 
@@ -67,8 +60,16 @@ def build_coordinator(spec: ScenarioSpec) -> FleetCoordinator:
             replace(r, net_latency_ms=spec.net_latency_ms) for r in regions
         )
 
+    # A switched-off subsystem costs nothing: the demand, gating and
+    # batch layers are imported only by the specs that turn them on.
     origins = latency_matrix = None
     if spec.demand.kind is not None:
+        from repro.demand import (
+            default_demand,
+            default_latency_matrix,
+            default_origins,
+        )
+
         origins = default_origins()
         latency_matrix = default_latency_matrix(origins, regions)
         # The SLA baseline is tightened by the region's *nearest-origin*
@@ -127,6 +128,8 @@ def build_coordinator(spec: ScenarioSpec) -> FleetCoordinator:
 
     gating = None
     if spec.gating.mode is not None:
+        from repro.fleet.capacity import make_gating_policy
+
         overrides = {}
         if spec.gating.wake_energy_j is not None:
             overrides["wake_energy_j"] = spec.gating.wake_energy_j
@@ -134,6 +137,8 @@ def build_coordinator(spec: ScenarioSpec) -> FleetCoordinator:
 
     batch = None
     if spec.batch.enabled:
+        from repro.shifting import BatchJobClass
+
         overrides = {
             name: getattr(spec.batch, name)
             for name in (

@@ -36,13 +36,11 @@ from dataclasses import dataclass, field, fields, replace
 from repro.carbon.forecast import FORECASTER_NAMES
 from repro.core.schemes import SCHEME_NAMES
 from repro.core.service import PAPER_LAMBDA, PAPER_N_GPUS
-from repro.fleet.capacity import GATING_MODES
 from repro.fleet.coordinator import DEFAULT_DEMAND_SCALE
 from repro.fleet.regions import REGION_NAMES
 from repro.fleet.routing import ROUTER_NAMES
 from repro.gpu.profiles import DEVICE_NAMES
 from repro.models.families import APPLICATIONS
-from repro.shifting.batch import ARRIVAL_PROFILES
 
 #: Applications the default model zoo serves (Table-1 registry).
 APPLICATION_NAMES = tuple(sorted(APPLICATIONS))
@@ -213,6 +211,10 @@ class GatingSpec:
     wake_energy_j: float | None = None
 
     def __post_init__(self) -> None:
+        if self.mode is None and self.wake_energy_j is None:
+            return  # always on: the gating layer never loads
+        from repro.fleet.capacity import GATING_MODES
+
         if self.mode is not None:
             _choice("gating mode", self.mode, GATING_MODES)
         if self.wake_energy_j is not None:
@@ -281,6 +283,8 @@ class BatchSpec:
                 f"batch deadline must be positive, got {self.deadline_h}"
             )
         if self.arrival is not None:
+            from repro.shifting.batch import ARRIVAL_PROFILES
+
             _choice("arrival profile", self.arrival, ARRIVAL_PROFILES)
         if self.accuracy_floor_pct is not None and not (
             0.0 < self.accuracy_floor_pct <= 100.0

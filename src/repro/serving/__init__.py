@@ -13,46 +13,18 @@ estimator the optimizer uses in its inner loop:
 * :mod:`repro.serving.sla` — the p95 SLA policy (Eq. 5).
 """
 
-from repro.serving.requests import Request, RequestBatch
-from repro.serving.workload import (
-    PoissonWorkload,
-    default_rate,
-    DEFAULT_BASE_UTILIZATION,
-)
-from repro.serving.instance import (
-    ServiceInstance,
-    sample_jitter,
-    DEFAULT_JITTER_CV,
-)
-from repro.serving.queueing import FifoQueue, QueueStats
-from repro.serving.des import simulate_fifo
-from repro.serving.analytic import QueueEstimate, estimate_fifo, erlang_c
-from repro.serving.metrics import (
-    LatencySummary,
-    ServingMetrics,
-    summarize,
-    DEFAULT_WARMUP_FRACTION,
-)
-from repro.serving.sla import SlaPolicy
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Request",
-    "RequestBatch",
-    "PoissonWorkload",
-    "default_rate",
-    "DEFAULT_BASE_UTILIZATION",
-    "ServiceInstance",
-    "sample_jitter",
-    "DEFAULT_JITTER_CV",
-    "FifoQueue",
-    "QueueStats",
-    "simulate_fifo",
-    "QueueEstimate",
-    "estimate_fifo",
-    "erlang_c",
-    "LatencySummary",
-    "ServingMetrics",
-    "summarize",
-    "DEFAULT_WARMUP_FRACTION",
-    "SlaPolicy",
-]
+__all__ = lazy_exports(__name__, {
+    "requests": ("Request", "RequestBatch"),
+    "workload": ("PoissonWorkload", "default_rate", "DEFAULT_BASE_UTILIZATION"),
+    "instance": ("ServiceInstance", "sample_jitter", "DEFAULT_JITTER_CV"),
+    "queueing": ("FifoQueue", "QueueStats"),
+    "des": ("simulate_fifo",),
+    "analytic": ("QueueEstimate", "estimate_fifo", "erlang_c"),
+    "metrics": (
+        "LatencySummary", "ServingMetrics", "summarize",
+        "DEFAULT_WARMUP_FRACTION",
+    ),
+    "sla": ("SlaPolicy",),
+})

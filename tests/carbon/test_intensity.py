@@ -1,9 +1,13 @@
 """Carbon-intensity trace queries and interpolation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.carbon.intensity import CarbonIntensityTrace
+from repro.carbon.traces import ciso_march_48h
 
 
 def make_trace(interpolation="linear"):
@@ -13,6 +17,29 @@ def make_trace(interpolation="linear"):
         name="t",
         interpolation=interpolation,
     )
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def clamp_then_query(tr, t_h):
+    """The query as first written: clamp to the span, then interpolate."""
+    t = np.clip(np.asarray(t_h, dtype=np.float64), tr.start_h, tr.end_h)
+    if tr.interpolation == "linear":
+        return np.interp(t, tr.times_h, tr.values)
+    idx = np.searchsorted(tr.times_h, t, side="right") - 1
+    return tr.values[np.clip(idx, 0, tr.times_h.size - 1)]
+
+
+#: Inside, on and outside each trace's span, signed zeros and NaN.
+QUERY_TIMES = st.one_of(
+    st.floats(),
+    st.floats(min_value=-1.0, max_value=50.0),
+    st.sampled_from(
+        (0.0, -0.0, 0.5, 1.0, 3.0, 47.5, 48.0, math.nan, math.inf, -math.inf)
+    ),
+)
 
 
 class TestQueries:
@@ -41,6 +68,30 @@ class TestQueries:
 
     def test_scalar_query_returns_float(self):
         assert isinstance(make_trace().at(1.5), float)
+
+    @pytest.mark.parametrize("interpolation", ["linear", "step"])
+    @given(ts=st.lists(QUERY_TIMES, min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_query_is_clamp_then_interpolate(self, interpolation, ts):
+        """Float and array queries answer bit for bit what clamping first
+        does, inside, on and outside the span, at ±0.0, ±inf and NaN."""
+        shifted = CarbonIntensityTrace(
+            times_h=np.array([0.5, 2.0, 7.25]),
+            values=np.array([80.0, 310.0, 120.0]),
+            interpolation=interpolation,
+        )
+        real = ciso_march_48h()
+        if interpolation == "step":
+            real = CarbonIntensityTrace(
+                real.times_h, real.values, interpolation="step"
+            )
+        for tr in (make_trace(interpolation), shifted, real):
+            for t in ts:
+                got = tr.at(t)
+                assert isinstance(got, float)
+                assert _bits(got) == _bits(clamp_then_query(tr, t))
+            arr = np.array(ts)
+            assert _bits(tr.at(arr)) == _bits(clamp_then_query(tr, arr))
 
     def test_span_and_extrema(self):
         tr = make_trace()

@@ -10,21 +10,26 @@ import repro
 #: ``[project] dependencies`` in pyproject.toml (tomli only below 3.11).
 DECLARED = {"numpy", "tomli"}
 
+#: Package exports load lazily, so importing the entry points runs few
+#: modules; the probe imports every module under ``src/repro`` instead.
 _PROBE = """\
-import sys
+import importlib, pkgutil, sys
 before = set(sys.modules)
-import repro, repro.cli, repro.analysis, repro.scenarios
+import repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(info.name)
 added = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(" ".join(sorted(added - set(sys.stdlib_module_names) - {"repro"})))
 """
 
 
 def test_imports_only_declared_dependencies():
-    """Importing every entry point loads no undeclared third-party module.
+    """Importing every module loads no undeclared third-party module.
 
-    A fresh interpreter snapshots ``sys.modules``, imports the package,
-    and lists the top-level modules the import added that are neither
-    stdlib nor ``repro`` itself: what ``pip install -e .`` must provide.
+    A fresh interpreter snapshots ``sys.modules``, imports every module
+    of the package, and lists the top-level modules the imports added
+    that are neither stdlib nor ``repro`` itself: what
+    ``pip install -e .`` must provide.
     Whatever else happens to be installed, an import of it shows up here.
     """
     # Import the package under test, not whichever copy is installed.
