@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.carbon.monitor import CarbonIntensityMonitor
 from repro.carbon.traces import ciso_march_48h
 from repro.core.annealing import SAParams
-from repro.core.controller import RunResult, ServiceController
+from repro.core.controller import RunResult
 from repro.core.moves import MoveGenerator
 from repro.core.service import CarbonAwareInferenceService, FidelityProfile
 

@@ -42,7 +42,7 @@ index render from that registry.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,6 @@ from repro.core.evaluator import ConfigEvaluator
 from repro.core.objective import ObjectiveSpec
 from repro.core.service import PAPER_N_GPUS
 from repro.gpu.partitions import partition_by_id
-from repro.models.families import ALL_FAMILIES
 from repro.models.perf import PerfModel
 from repro.models.zoo import ModelZoo, default_zoo
 from repro.serving.sla import SlaPolicy

@@ -7,7 +7,6 @@ Replaces the paper's live grid feeds (CISO/ESO) and carbontracker meter:
 * :mod:`repro.carbon.traces` — the three fixed 48-hour evaluation traces,
 * :mod:`repro.carbon.accounting` — energy → carbon arithmetic with PUE,
 * :mod:`repro.carbon.monitor` — the 5% change re-optimization trigger,
-* :mod:`repro.carbon.embodied` — manufacturing-carbon amortization,
 * :mod:`repro.carbon.forecast` — intensity forecasting building blocks.
 """
 
@@ -23,10 +22,7 @@ __all__ = lazy_exports(__name__, {
         "ciso_march_48h", "ciso_september_48h", "eso_march_48h",
         "evaluation_traces", "trace_by_name", "EVALUATION_SPAN_HOURS",
     ),
-    "accounting": (
-        "DEFAULT_PUE", "joules_to_kwh", "carbon_grams", "CarbonAccountant",
-    ),
+    "accounting": ("DEFAULT_PUE", "joules_to_kwh", "carbon_grams"),
     "monitor": ("CarbonIntensityMonitor", "DEFAULT_CHANGE_THRESHOLD"),
-    "embodied": ("EmbodiedCarbonModel", "TotalCarbonBreakdown"),
     "forecast": ("PersistenceForecaster", "DiurnalForecaster", "forecast_mae"),
 })

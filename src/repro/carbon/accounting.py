@@ -8,14 +8,7 @@ simulated power model's output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-__all__ = [
-    "DEFAULT_PUE",
-    "joules_to_kwh",
-    "carbon_grams",
-    "CarbonAccountant",
-]
+__all__ = ["DEFAULT_PUE", "joules_to_kwh", "carbon_grams"]
 
 #: Paper's assumed power-usage-effectiveness (Uptime Institute survey value).
 DEFAULT_PUE = 1.5
@@ -45,50 +38,3 @@ def carbon_grams(
     if pue < 1.0:
         raise ValueError(f"PUE cannot be below 1.0, got {pue}")
     return joules_to_kwh(energy_j) * pue * carbon_intensity
-
-
-@dataclass
-class CarbonAccountant:
-    """Accumulates energy and carbon over a run, epoch by epoch.
-
-    The runner calls :meth:`record` once per simulation epoch with the
-    epoch's IT energy and the prevailing carbon intensity; totals and
-    per-request averages feed the paper's Figs. 9/10/16.
-    """
-
-    pue: float = DEFAULT_PUE
-    total_energy_j: float = field(default=0.0, init=False)
-    total_carbon_g: float = field(default=0.0, init=False)
-    total_requests: float = field(default=0.0, init=False)
-    epochs: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        if self.pue < 1.0:
-            raise ValueError(f"PUE cannot be below 1.0, got {self.pue}")
-
-    def record(
-        self, energy_j: float, carbon_intensity: float, requests: float = 0.0
-    ) -> float:
-        """Account one epoch; returns the epoch's carbon in gCO2."""
-        if requests < 0:
-            raise ValueError(f"request count must be non-negative, got {requests}")
-        grams = carbon_grams(energy_j, carbon_intensity, self.pue)
-        self.total_energy_j += energy_j
-        self.total_carbon_g += grams
-        self.total_requests += requests
-        self.epochs += 1
-        return grams
-
-    @property
-    def grams_per_request(self) -> float:
-        """Average gCO2 per served request (the paper's C metric)."""
-        if self.total_requests <= 0:
-            raise ValueError("no requests recorded yet")
-        return self.total_carbon_g / self.total_requests
-
-    @property
-    def joules_per_request(self) -> float:
-        """Average IT energy per served request."""
-        if self.total_requests <= 0:
-            raise ValueError("no requests recorded yet")
-        return self.total_energy_j / self.total_requests

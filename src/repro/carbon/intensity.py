@@ -8,7 +8,7 @@ averages, but the controller may query arbitrary times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class CarbonIntensityTrace:
     values: np.ndarray
     name: str = "trace"
     interpolation: str = "linear"
-    _values_ro: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times_h, dtype=np.float64)

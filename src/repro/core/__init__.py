@@ -20,7 +20,7 @@ __all__ = lazy_exports(__name__, {
         "co2opt_config",
     ),
     "graph": ("ConfigGraph", "graph_edit_distance"),
-    "feasibility": ("graph_is_feasible", "realize_graph"),
+    "feasibility": ("realize_graph",),
     "objective": ("ObjectiveSpec", "ObjectiveValue"),
     "evaluator": ("ConfigEvaluator", "Evaluation"),
     "moves": ("MoveGenerator", "partition_neighbors", "GED_THRESHOLD"),
@@ -37,7 +37,6 @@ __all__ = lazy_exports(__name__, {
         "ServiceController", "RunResult", "EpochRecord", "InvocationRecord",
         "CandidateRecord",
     ),
-    "pods": ("MultiApplicationService", "PodSpec", "FleetReport"),
     "service": (
         "CarbonAwareInferenceService", "FidelityProfile", "Baseline",
         "derive_baseline", "PAPER_N_GPUS", "PAPER_LAMBDA",

@@ -1,24 +1,17 @@
-"""Graph-space feasibility: which configuration graphs are realizable.
+"""Graph → deployment: realize a configuration graph on concrete GPUs.
 
-A configuration graph is an abstraction; deploying it requires finding
-concrete per-GPU partitions whose slice histograms sum to the graph's
-slice histogram (exact cover over the 19 MIG configurations), and variants
-that respect the memory (OOM-edge) mask.  This module bridges the two
-representations:
-
-* :func:`graph_is_feasible` — whether a graph decomposes onto ``n``
-  GPUs; a library predicate that no simulation path calls (the move
-  generator keeps every candidate feasible by construction),
-* :func:`realize_graph` — graph → concrete :class:`ClusterConfig`
-  (deterministic, so realized deployments are reproducible).  The
-  evaluator calls it to price each graph it evaluates on a device pool
-  (a heterogeneous fleet's regions): the realization's ``i``-th
-  canonical assignment runs on the pool's ``i``-th device.
+A configuration graph is an abstraction; deploying it requires concrete
+per-GPU partitions whose slice histograms sum to the graph's slice
+histogram (exact cover over the 19 MIG configurations).
+:func:`realize_graph` finds one deterministically, so realized
+deployments are reproducible.  The evaluator calls it to price each graph
+it evaluates on a device pool (a heterogeneous fleet's regions): the
+realization's ``i``-th canonical assignment runs on the pool's ``i``-th
+device.  The move generator keeps every candidate feasible by
+construction, so no search step asks whether a graph decomposes.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.core.config import ClusterConfig, GpuAssignment
 from repro.core.graph import ConfigGraph
@@ -26,28 +19,7 @@ from repro.gpu.cluster import decompose_histogram
 from repro.gpu.partitions import NUM_PARTITIONS, partition_by_id
 from repro.gpu.slices import SLICE_TYPES
 
-__all__ = ["graph_is_feasible", "realize_graph"]
-
-
-def graph_is_feasible(
-    graph: ConfigGraph,
-    n_gpus: int,
-    memory_mask: np.ndarray | None = None,
-    max_partition_id: int = NUM_PARTITIONS,
-) -> bool:
-    """Whether ``graph`` can be deployed on ``n_gpus`` GPUs.
-
-    Checks (a) the OOM-edge rule when a memory mask is given and (b) that
-    the slice histogram decomposes into exactly ``n_gpus`` MIG partitions
-    no finer than ``max_partition_id`` (the device pool's partition
-    granularity; the default admits every MIG configuration).
-    """
-    if memory_mask is not None and not graph.respects_memory(memory_mask):
-        return False
-    return (
-        decompose_histogram(graph.slice_histogram(), n_gpus, max_partition_id)
-        is not None
-    )
+__all__ = ["realize_graph"]
 
 
 def realize_graph(

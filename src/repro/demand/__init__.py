@@ -14,9 +14,9 @@ maps each epoch's origin demand onto the router's regional totals.
 Every demand model implements one primitive,
 :meth:`~repro.demand.diurnal.DemandModel.rate_matrix`: the per-origin
 rates at many fleet times as one ``(n_times, n_origins)`` array.  The
-point reads (``rates``, ``rate``, ``total_rate``), the horizon read
-``total_rates`` and a workload's thinning ``rate_fn`` all derive from it,
-so the day curve is written once and every read agrees bit for bit.
+point reads (``rates``, ``rate``, ``total_rate``) and the horizon read
+``total_rates`` all derive from it, so the day curve is written once and
+every read agrees bit for bit.
 
 Quickstart::
 

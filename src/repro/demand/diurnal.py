@@ -120,10 +120,6 @@ class DemandModel:
         """
         return self.rate_matrix(times_h).sum(axis=1)
 
-    def peak_total_rate(self) -> float:
-        """An upper bound on :meth:`total_rate` (thinning envelopes)."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ConstantDemandModel(DemandModel):
@@ -143,9 +139,6 @@ class ConstantDemandModel(DemandModel):
     def rate_matrix(self, times_h) -> np.ndarray:
         n_times = np.asarray(times_h, dtype=np.float64).size
         return np.full((n_times, self.n_origins), self._origin_means)
-
-    def peak_total_rate(self) -> float:
-        return self.mean_total_rate_per_s
 
 
 @dataclass(frozen=True)
@@ -218,52 +211,6 @@ class DiurnalDemandModel(DemandModel):
         weekdays, so a weekday shape passes through bit for bit."""
         damped = 1.0 - self.weekend_damping
         return np.array([damped if d in WEEKEND_DAYS else 1.0 for d in range(7)])
-
-    def peak_total_rate(self) -> float:
-        """Upper bound: every origin at peak simultaneously, bursts stacked."""
-        burst_cap = 1.0
-        for b in self.bursts:
-            burst_cap *= max(1.0, b.magnitude)
-        return (
-            self.mean_total_rate_per_s * (1.0 + self.day_night_swing) * burst_cap
-        )
-
-    def workload(self, origin: str, start_h: float = 0.0):
-        """This origin's arrivals as a nonstationary Poisson process.
-
-        Returns a :class:`~repro.serving.workload.NonstationaryPoissonWorkload`
-        whose rate function is this model's ``rate(origin, ·)``,
-        thinning-enveloped by the origin's share of the peak rate.  The
-        sampler's window time (seconds from the window start) is mapped to
-        fleet time as ``start_h + t_s / 3600`` — pass the window's fleet
-        start hour or a mid-run window would be silently phase-shifted to
-        midnight.  The rate function reads the origin's column of a
-        one-row :meth:`rate_matrix`, so it is the fleet's own day curve,
-        bit for bit.
-
-        The bursts' edges and centers are declared as the workload's
-        *critical times*, so the thinning-envelope check samples them
-        deterministically — a burst far narrower than the check grid can
-        no longer slip between grid points and silently under-sample.
-        """
-        from repro.serving.workload import NonstationaryPoissonWorkload
-
-        idx = self.origin_names.index(origin)
-        share = float(normalized_weights(self.origins)[idx])
-        critical: list[float] = []
-        for b in self.bursts:
-            if b.origin is not None and b.origin != origin:
-                continue
-            edges_h = (b.start_h, b.start_h + 0.5 * b.duration_h,
-                       b.start_h + b.duration_h)
-            critical.extend((h - start_h) * 3600.0 for h in edges_h)
-        return NonstationaryPoissonWorkload(
-            rate_fn=lambda t_s: float(
-                self.rate_matrix([start_h + t_s / 3600.0])[0, idx]
-            ),
-            max_rate_per_s=share * self.peak_total_rate(),
-            critical_times_s=tuple(critical),
-        )
 
 
 def _validate(origins: tuple[GeoOrigin, ...], mean_rate: float) -> None:

@@ -46,7 +46,6 @@ from repro.utils.lazy import lazy_exports
 __all__ = lazy_exports(__name__, {
     "regions": (
         "Region", "REGION_NAMES", "region_by_name", "default_fleet_regions",
-        "make_region",
     ),
     "regional": ("RegionalService", "DEFAULT_MAX_UTILIZATION"),
     "routing": (

@@ -37,7 +37,6 @@ __all__ = [
     "REGION_NAMES",
     "region_by_name",
     "default_fleet_regions",
-    "make_region",
 ]
 
 
@@ -196,28 +195,4 @@ def default_fleet_regions(n_gpus: int = PAPER_N_GPUS) -> tuple[Region, ...]:
     return tuple(
         region_by_name(name, n_gpus=n_gpus)
         for name in ("us-ciso", "uk-eso", "nordic-hydro")
-    )
-
-
-def make_region(
-    name: str,
-    profile: GridProfile,
-    days: float = 2.0,
-    seed: int = 0,
-    pue: float = DEFAULT_PUE,
-    net_latency_ms: float = 0.0,
-    n_gpus: int = PAPER_N_GPUS,
-    zone: str = "na",
-    devices: tuple[str, ...] | str | None = None,
-) -> Region:
-    """Build a custom region from a grid profile (deterministic trace)."""
-    trace = generate_trace(profile, days=days, step_h=1.0, rng=seed)
-    return Region(
-        name=name,
-        trace=trace,
-        pue=pue,
-        net_latency_ms=net_latency_ms,
-        n_gpus=n_gpus,
-        zone=zone,
-        devices=devices,
     )

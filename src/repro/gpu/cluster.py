@@ -1,12 +1,12 @@
-"""Multi-GPU cluster and slice-histogram feasibility.
+"""Slice-histogram decomposition onto per-GPU MIG partitions.
 
 Clover's graph representation collapses a cluster configuration into a
 slice-type histogram (how many ``1g`` .. ``7g`` slices exist cluster-wide).
 The histogram is only *realizable* if it can be written as the sum of exactly
 ``n`` per-GPU partition histograms, one of the 19 MIG configurations per GPU.
 :func:`decompose_histogram` solves that exact-cover problem with a memoized
-depth-first search; :func:`histogram_is_feasible` is the boolean wrapper the
-optimizer uses to reject unrealizable graphs.
+depth-first search; :func:`repro.core.feasibility.realize_graph` builds a
+concrete deployment from its answer.
 
 The search de-duplicates GPU orderings by forcing the chosen partition ids to
 be non-increasing, which keeps the memo small: for the paper's 10-GPU testbed
@@ -15,26 +15,14 @@ the full reachable state space is a few thousand entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from repro.gpu.device import A100_40GB, GpuDevice, GpuSpec
-from repro.gpu.partitions import (
-    ALL_PARTITION_HISTOGRAMS,
-    NUM_PARTITIONS,
-    partition_by_id,
-)
+from repro.gpu.partitions import ALL_PARTITION_HISTOGRAMS, NUM_PARTITIONS
 from repro.gpu.slices import SLICE_TYPES
 
-__all__ = [
-    "GpuCluster",
-    "decompose_histogram",
-    "histogram_is_feasible",
-    "max_slices",
-    "min_slices",
-]
+__all__ = ["decompose_histogram"]
 
 #: Histogram rows as plain tuples, indexed by config_id - 1 (cache-friendly).
 _PARTITION_HISTS: tuple[tuple[int, ...], ...] = tuple(
@@ -46,16 +34,6 @@ _PARTITION_SIZES: tuple[int, ...] = tuple(sum(h) for h in _PARTITION_HISTS)
 
 _MAX_SLICES_PER_GPU = max(_PARTITION_SIZES)
 _MIN_SLICES_PER_GPU = min(_PARTITION_SIZES)
-
-
-def max_slices(n_gpus: int) -> int:
-    """Most service instances ``n_gpus`` can host (config 19 everywhere)."""
-    return n_gpus * _MAX_SLICES_PER_GPU
-
-
-def min_slices(n_gpus: int) -> int:
-    """Fewest service instances ``n_gpus`` can host (one 7g slice per GPU)."""
-    return n_gpus * _MIN_SLICES_PER_GPU
 
 
 def _normalize_histogram(histogram) -> tuple[int, ...]:
@@ -125,165 +103,3 @@ def decompose_histogram(
         )
     h = _normalize_histogram(histogram)
     return _decompose(h, n_gpus, max_partition_id)
-
-
-def histogram_is_feasible(
-    histogram, n_gpus: int, max_partition_id: int = NUM_PARTITIONS
-) -> bool:
-    """Whether ``histogram`` is realizable on exactly ``n_gpus`` GPUs."""
-    return decompose_histogram(histogram, n_gpus, max_partition_id) is not None
-
-
-@dataclass
-class GpuCluster:
-    """A pool of MIG-capable GPUs (the paper's testbed is 10 x A100).
-
-    The cluster owns the devices and exposes aggregate views the serving and
-    optimization layers need: the flattened slice inventory and the
-    cluster-wide slice histogram.
-
-    By default every device is an identical ``spec`` GPU (the seed path).
-    Passing ``pool`` — a :class:`repro.gpu.profiles.DevicePool` — builds a
-    heterogeneous cluster instead: one device per pool profile, in the
-    pool's canonical most-efficient-first order, each enforcing its own
-    partition granularity (an L4 device rejects MIG repartitions).
-    """
-
-    n_gpus: int
-    spec: GpuSpec = A100_40GB
-    pool: "object | None" = None
-    devices: list[GpuDevice] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.n_gpus <= 0:
-            raise ValueError(f"cluster needs at least one GPU, got {self.n_gpus}")
-        if self.pool is not None:
-            if self.pool.n_gpus != self.n_gpus:
-                raise ValueError(
-                    f"device pool has {self.pool.n_gpus} GPUs, "
-                    f"cluster declares {self.n_gpus}"
-                )
-            self.devices = self.pool.make_devices()
-        else:
-            self.devices = [
-                GpuDevice(gpu_id=i, spec=self.spec) for i in range(self.n_gpus)
-            ]
-
-    @property
-    def partition_ids(self) -> tuple[int, ...]:
-        """Current MIG configuration id of every GPU."""
-        return tuple(d.partition_id for d in self.devices)
-
-    def apply_partitions(self, partition_ids: list[int] | tuple[int, ...]) -> float:
-        """Repartition every GPU; returns the worst-case downtime in seconds.
-
-        GPUs repartition in parallel (each has its own MIG control), so the
-        service-visible downtime is the maximum over devices, not the sum.
-
-        The call is atomic: every partition id is validated *before* any
-        device is touched, so an invalid id midway can never leave the
-        cluster half-repartitioned.
-        """
-        if len(partition_ids) != self.n_gpus:
-            raise ValueError(
-                f"expected {self.n_gpus} partition ids, got {len(partition_ids)}"
-            )
-        for dev, pid in zip(self.devices, partition_ids):
-            partition_by_id(pid)  # raises on an unknown id, pre-mutation
-            # Device-granularity check, also pre-mutation: a non-MIG
-            # device midway through the list must not leave the cluster
-            # half-repartitioned.
-            if pid != dev.partition_id:
-                dev.check_supported(pid)
-        downtimes = [
-            dev.repartition(pid) for dev, pid in zip(self.devices, partition_ids)
-        ]
-        return max(downtimes, default=0.0)
-
-    def slice_inventory(self):
-        """All slices in the cluster as ``(gpu_id, slice_type)`` pairs."""
-        return [
-            (dev.gpu_id, s) for dev in self.devices for s in dev.partition.slices
-        ]
-
-    def histogram(self) -> np.ndarray:
-        """Cluster-wide slice-type histogram (len-5 int array)."""
-        h = np.zeros(len(SLICE_TYPES), dtype=np.int64)
-        for dev in self.devices:
-            h += dev.partition.histogram()
-        return h
-
-    # ------------------------------------------------------------------ #
-    # awake / asleep masks (elastic capacity)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def awake_mask(self) -> tuple[bool, ...]:
-        """Per-device awake flags, in ``gpu_id`` order."""
-        return tuple(d.awake for d in self.devices)
-
-    @property
-    def n_awake(self) -> int:
-        """How many devices are currently awake (serving-capable)."""
-        return sum(1 for d in self.devices if d.awake)
-
-    def set_awake_count(self, n_awake: int) -> float:
-        """Sleep or wake devices so exactly ``n_awake`` are online.
-
-        Devices sleep from the highest ``gpu_id`` down and wake from the
-        lowest up, so the awake set is always a ``gpu_id`` prefix.  (The
-        serving path's :class:`~repro.core.evaluator.ConfigEvaluator`
-        works one level up, on placement-free canonical configurations —
-        it keeps the first awake *canonical* assignments; map canonical
-        order onto ``gpu_id`` order when driving physical devices from an
-        evaluator decision.)  Returns the wake downtime in seconds (max
-        over woken devices; they wake in parallel), 0.0 when only
-        sleeping.
-        """
-        if not 1 <= n_awake <= self.n_gpus:
-            raise ValueError(
-                f"awake count must be in [1, {self.n_gpus}], got {n_awake}"
-            )
-        downtimes = [0.0]
-        for i, dev in enumerate(self.devices):
-            if i < n_awake:
-                downtimes.append(dev.wake())
-            else:
-                dev.sleep()
-        return max(downtimes)
-
-    def awake_histogram(self) -> np.ndarray:
-        """Slice-type histogram over *awake* devices only.
-
-        This is the histogram the feasibility layer must use while GPUs
-        sleep: a slice on a gated GPU exists but cannot serve, so the
-        feasible cluster-wide histogram shrinks to the awake subset
-        (``histogram_is_feasible(awake_histogram(), n_awake)``).
-        """
-        h = np.zeros(len(SLICE_TYPES), dtype=np.int64)
-        for dev in self.devices:
-            if dev.awake:
-                h += dev.partition.histogram()
-        return h
-
-    @property
-    def total_instances(self) -> int:
-        """Number of service instances the current partitioning hosts."""
-        return sum(d.num_instances for d in self.devices)
-
-    @property
-    def awake_instances(self) -> int:
-        """Service instances hosted on awake devices (serving capacity)."""
-        return sum(d.num_instances for d in self.devices if d.awake)
-
-    def describe(self) -> str:
-        """Human-readable one-liner, e.g. ``'10xA100-40GB [#1, #1, ...]'``."""
-        parts = ", ".join(str(partition_by_id(p)) for p in self.partition_ids)
-        if self.pool is not None and not self.pool.is_uniform:
-            return f"{self.pool.describe()} [{parts}]"
-        name = (
-            self.pool.profiles[0].spec.name
-            if self.pool is not None
-            else self.spec.name
-        )
-        return f"{self.n_gpus}x{name} [{parts}]"

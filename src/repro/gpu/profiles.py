@@ -8,13 +8,12 @@ provisioning mixed GPU generations and steering load by energy-per-request
 is a first-order carbon lever, and CarbonEdge makes the same argument for
 heterogeneous edge silicon.  This module makes the device explicit:
 
-* :class:`DeviceProfile` — one GPU generation: its :class:`~repro.gpu.device.GpuSpec`
-  (memory, wake latency, reconfiguration costs), its
+* :class:`DeviceProfile` — one GPU generation: its
   :class:`~repro.gpu.power.PowerModel` (peak / idle / sleep watts), a
   **throughput scalar** relative to the A100 reference (the analytical
-  latency model divides service times by it), and a **partition
+  latency model divides service times by it), a **partition
   granularity** (which MIG configurations the silicon supports — the L4
-  has no MIG at all).
+  has no MIG at all) and the energy of waking it from sleep.
 * :class:`DevicePool` — an ordered multiset of profiles: one region's GPU
   fleet, canonically sorted most-carbon-efficient first.  The canonical
   order is load-bearing: the evaluator maps canonical configuration
@@ -45,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.gpu.device import A100_40GB, GpuDevice, GpuSpec
 from repro.gpu.partitions import NUM_PARTITIONS
 from repro.gpu.power import PowerModel
 
@@ -73,16 +71,12 @@ _RANK_UTILIZATION = 0.65
 
 @dataclass(frozen=True)
 class DeviceProfile:
-    """One GPU generation: spec, power curve, speed, and MIG support.
+    """One GPU generation: power curve, speed, MIG support, wake energy.
 
     Attributes
     ----------
     name:
         Registry key (``"a100"``, ``"h100"``, ``"l4"``).
-    spec:
-        The stateful-device spec (memory, repartition / model-load / wake
-        seconds).  Wake latency is per-profile: gating an L4 back online is
-        slower than an H100.
     power:
         The node power model of this generation (idle / peak-dynamic /
         host / sleep watts).  The A100 profile carries the seed defaults.
@@ -107,7 +101,6 @@ class DeviceProfile:
     """
 
     name: str
-    spec: GpuSpec
     power: PowerModel
     throughput_scale: float = 1.0
     partition_granularity: int = NUM_PARTITIONS
@@ -188,20 +181,11 @@ class DeviceProfile:
         )
         return (watts / self.throughput_scale, self.name)
 
-    def make_device(self, gpu_id: int) -> GpuDevice:
-        """A stateful :class:`GpuDevice` of this generation."""
-        return GpuDevice(
-            gpu_id=gpu_id,
-            spec=self.spec,
-            max_partition_id=self.partition_granularity,
-        )
-
 
 #: The seed testbed device: the A100 profile *is* the pre-heterogeneity
-#: model — seed spec, seed power defaults, unit throughput, full MIG.
+#: model — seed power defaults, unit throughput, full MIG.
 A100_PROFILE = DeviceProfile(
     name="a100",
-    spec=A100_40GB,
     power=PowerModel(),
     throughput_scale=1.0,
     partition_granularity=NUM_PARTITIONS,
@@ -211,18 +195,10 @@ A100_PROFILE = DeviceProfile(
 )
 
 #: Hopper: ~1.9x the A100's service rate at a higher board power — faster
-#: *and* slightly fewer joules per request, with full MIG support and a
-#: quicker wake (calibrated, not measured; see the module docstring).
+#: *and* slightly fewer joules per request, with full MIG support
+#: (calibrated, not measured; see the module docstring).
 H100_PROFILE = DeviceProfile(
     name="h100",
-    spec=GpuSpec(
-        name="H100-80GB",
-        peak_tflops=37.1,
-        memory_gb=80.0,
-        repartition_seconds=10.0,
-        model_load_seconds=4.0,
-        wake_seconds=4.0,
-    ),
     power=PowerModel(
         idle_watts=30.0,
         peak_dynamic_watts=610.0,
@@ -237,18 +213,10 @@ H100_PROFILE = DeviceProfile(
 )
 
 #: Ada inference card: ~0.4x the A100's service rate at a fraction of the
-#: power — the cheapest joules per request in the registry, but slow, slow
-#: to wake, and with no MIG at all (full-GPU deployments only).
+#: power — the cheapest joules per request in the registry, but slow, and
+#: with no MIG at all (full-GPU deployments only).
 L4_PROFILE = DeviceProfile(
     name="l4",
-    spec=GpuSpec(
-        name="L4-24GB",
-        peak_tflops=30.3,
-        memory_gb=24.0,
-        repartition_seconds=12.0,
-        model_load_seconds=3.0,
-        wake_seconds=8.0,
-    ),
     power=PowerModel(
         idle_watts=8.0,
         peak_dynamic_watts=64.0,
@@ -380,10 +348,6 @@ class DevicePool:
         return "+".join(
             f"{count}x{name}" for name, count in sorted(self.counts().items())
         )
-
-    def make_devices(self) -> list[GpuDevice]:
-        """Stateful devices for a :class:`~repro.gpu.cluster.GpuCluster`."""
-        return [p.make_device(i) for i, p in enumerate(self.profiles)]
 
 
 def parse_region_devices(spec: str) -> str | tuple[str, ...]:

@@ -1,12 +1,12 @@
-"""Inference-serving substrate: workload, queueing, simulation, metrics.
+"""Inference-serving substrate: workload, simulation, estimates, metrics.
 
 Replaces the paper's Flask + FIFO producer/consumer serving stack with a
 discrete-event simulation of the same pipeline, plus a fast analytical
 estimator the optimizer uses in its inner loop:
 
 * :mod:`repro.serving.workload` — Poisson query arrivals and paper-style sizing,
-* :mod:`repro.serving.instance` — one model copy on one MIG slice,
-* :mod:`repro.serving.queueing` — the producer/consumer FIFO queue,
+* :mod:`repro.serving.requests` — the simulated requests as arrays,
+* :mod:`repro.serving.instance` — per-request service-time jitter,
 * :mod:`repro.serving.des` — exact discrete-event simulation,
 * :mod:`repro.serving.analytic` — M/G/c-style closed-form estimates,
 * :mod:`repro.serving.metrics` — tail latency, shares, utilization,
@@ -16,10 +16,9 @@ estimator the optimizer uses in its inner loop:
 from repro.utils.lazy import lazy_exports
 
 __all__ = lazy_exports(__name__, {
-    "requests": ("Request", "RequestBatch"),
+    "requests": ("RequestBatch",),
     "workload": ("PoissonWorkload", "default_rate", "DEFAULT_BASE_UTILIZATION"),
-    "instance": ("ServiceInstance", "sample_jitter", "DEFAULT_JITTER_CV"),
-    "queueing": ("FifoQueue", "QueueStats"),
+    "instance": ("sample_jitter", "DEFAULT_JITTER_CV"),
     "des": ("simulate_fifo",),
     "analytic": ("QueueEstimate", "estimate_fifo", "erlang_c"),
     "metrics": (

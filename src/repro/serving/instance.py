@@ -1,23 +1,19 @@
-"""A service instance: one model copy hosted on one MIG slice.
+"""Per-request service-time jitter of a service instance.
 
-This is the unit of the paper's serving layer — "every partition hosts one
-model copy".  An instance knows its mean service time (from the analytical
-performance model) and can sample jittered per-request service times for the
-discrete-event simulator.
+A service instance is one model copy hosted on one MIG slice — "every
+partition hosts one model copy".  Its mean service time comes from the
+analytical performance model; :func:`sample_jitter` draws the
+multiplicative spread around that mean that the discrete-event simulator
+applies to each request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.gpu.slices import SliceType
-from repro.models.perf import PerfModel
-from repro.models.variants import ModelVariant
 from repro.utils.rng import as_generator
 
-__all__ = ["ServiceInstance", "sample_jitter", "DEFAULT_JITTER_CV"]
+__all__ = ["sample_jitter", "DEFAULT_JITTER_CV"]
 
 #: Coefficient of variation of per-request service time.  GPU inference is
 #: close to deterministic (same kernels every request); the residual spread
@@ -45,58 +41,3 @@ def sample_jitter(
     sigma2 = np.log1p(cv * cv)
     mu = -0.5 * sigma2
     return gen.lognormal(mean=mu, sigma=np.sqrt(sigma2), size=n)
-
-
-@dataclass(frozen=True)
-class ServiceInstance:
-    """One hosted model copy: ``(gpu, slice, variant)`` plus its performance."""
-
-    instance_id: int
-    gpu_id: int
-    slice_type: SliceType
-    variant: ModelVariant
-    mean_service_s: float
-    busy_watts: float
-
-    @classmethod
-    def create(
-        cls,
-        instance_id: int,
-        gpu_id: int,
-        slice_type: SliceType,
-        variant: ModelVariant,
-        perf: PerfModel,
-    ) -> "ServiceInstance":
-        """Build an instance, resolving its performance via ``perf``."""
-        return cls(
-            instance_id=instance_id,
-            gpu_id=gpu_id,
-            slice_type=slice_type,
-            variant=variant,
-            mean_service_s=perf.latency_s(variant, slice_type),
-            busy_watts=perf.busy_watts(variant, slice_type),
-        )
-
-    def __post_init__(self) -> None:
-        if self.mean_service_s <= 0:
-            raise ValueError(
-                f"service time must be positive, got {self.mean_service_s}"
-            )
-        if self.busy_watts < 0:
-            raise ValueError(f"busy power must be non-negative, got {self.busy_watts}")
-
-    @property
-    def service_rate(self) -> float:
-        """Requests per second at 100% utilization."""
-        return 1.0 / self.mean_service_s
-
-    @property
-    def accuracy(self) -> float:
-        """Accuracy of requests served by this instance (variant's metric)."""
-        return self.variant.accuracy
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"inst{self.instance_id}[gpu{self.gpu_id}/{self.slice_type.name}:"
-            f"{self.variant.name}]"
-        )

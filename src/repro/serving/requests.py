@@ -1,9 +1,8 @@
-"""Request records and batch views for the inference-serving simulator.
+"""Request records of the inference-serving simulator.
 
-The hot path of the discrete-event simulator works on NumPy arrays (one entry
-per request) rather than Python objects; :class:`RequestBatch` is the
-structure-of-arrays container for those, and :class:`Request` is the
-object view used at API boundaries and in tests.
+The discrete-event simulator works on NumPy arrays (one entry per
+request) rather than Python objects; :class:`RequestBatch` is the
+structure-of-arrays container for those.
 """
 
 from __future__ import annotations
@@ -12,45 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Request", "RequestBatch"]
-
-
-@dataclass(frozen=True)
-class Request:
-    """One inference request's life cycle, all times in seconds.
-
-    ``latency`` is end-to-end (queue wait + service), the quantity the
-    paper's p95 SLA is defined over.
-    """
-
-    request_id: int
-    arrival_s: float
-    start_s: float
-    finish_s: float
-    instance_index: int
-
-    @property
-    def wait_s(self) -> float:
-        """Time spent in the FIFO queue before an instance picked it up."""
-        return self.start_s - self.arrival_s
-
-    @property
-    def service_s(self) -> float:
-        """Time spent processing on the assigned instance."""
-        return self.finish_s - self.start_s
-
-    @property
-    def latency_s(self) -> float:
-        """End-to-end latency (wait + service)."""
-        return self.finish_s - self.arrival_s
-
-    def __post_init__(self) -> None:
-        if not self.arrival_s <= self.start_s <= self.finish_s:
-            raise ValueError(
-                f"request {self.request_id}: times must be ordered "
-                f"(arrival={self.arrival_s}, start={self.start_s}, "
-                f"finish={self.finish_s})"
-            )
+__all__ = ["RequestBatch"]
 
 
 @dataclass(frozen=True)
@@ -92,16 +53,6 @@ class RequestBatch:
     @property
     def latency_ms(self) -> np.ndarray:
         return self.latency_s * 1e3
-
-    def request(self, k: int) -> Request:
-        """Object view of the ``k``-th request (for tests and debugging)."""
-        return Request(
-            request_id=k,
-            arrival_s=float(self.arrival_s[k]),
-            start_s=float(self.start_s[k]),
-            finish_s=float(self.finish_s[k]),
-            instance_index=int(self.instance_index[k]),
-        )
 
     def tail(self, skip_fraction: float) -> "RequestBatch":
         """Drop the first ``skip_fraction`` of requests (warm-up trimming)."""

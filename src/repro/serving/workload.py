@@ -6,27 +6,14 @@ that the BASE deployment (largest variant, unpartitioned GPUs) runs with
 that sizing rule: a target utilization of the BASE configuration's aggregate
 service capacity.
 
-Real demand is not stationary — users sleep, and the geo-diurnal demand
-layer (:mod:`repro.demand`) produces time-varying rates.
-:class:`NonstationaryPoissonWorkload` samples such a process by *thinning*
-(Lewis & Shedler): draw a homogeneous Poisson process at an envelope rate
-``max_rate_per_s`` and keep each arrival at time ``t`` with probability
-``rate(t) / max_rate_per_s``.  The kept points are exactly a nonhomogeneous
-Poisson process with intensity ``rate(t)``.
-
-Thinning is only correct while ``rate(t) <= max_rate_per_s`` *everywhere*;
-above the envelope the keep-probability saturates at 1 and the process is
-silently under-sampled.  The majorant is therefore validated before
-sampling, on a deterministic grid that includes the workload's
-``critical_times_s`` (burst edges and centers, supplied by the demand
-layer), so even a burst far narrower than the grid step cannot slip through
-between samples — a violated envelope always raises.
+Time-varying demand (:mod:`repro.demand`) changes only the rate from one
+epoch to the next: each measurement draws homogeneous arrivals at its
+epoch's rate (:meth:`PoissonWorkload.arrivals_fixed_count`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -37,10 +24,8 @@ from repro.utils.rng import as_generator
 
 __all__ = [
     "PoissonWorkload",
-    "NonstationaryPoissonWorkload",
     "default_rate",
     "DEFAULT_BASE_UTILIZATION",
-    "ENVELOPE_CHECK_STEP_S",
 ]
 
 #: Sizing target for the BASE deployment: busy but not saturated.
@@ -91,137 +76,6 @@ class PoissonWorkload:
     def expected_requests(self, duration_s: float) -> float:
         """Mean number of arrivals in a window of ``duration_s`` seconds."""
         return self.rate_per_s * duration_s
-
-
-#: Grid resolution of the deterministic majorant/quadrature checks.
-ENVELOPE_CHECK_STEP_S = 60.0
-
-#: Offset placed on both sides of a critical time so that a jump
-#: discontinuity (a burst switching on or off) is sampled in both states.
-_CRITICAL_EPS_S = 1e-6
-
-
-@dataclass(frozen=True)
-class NonstationaryPoissonWorkload:
-    """Time-varying arrival process sampled by thinning.
-
-    Attributes
-    ----------
-    rate_fn:
-        Instantaneous arrival rate (req/s) as a function of time in
-        *seconds* since the window start.  Must stay within
-        ``(0, max_rate_per_s]`` over any sampled window.
-    max_rate_per_s:
-        The thinning envelope.  A tight envelope wastes fewer candidate
-        draws; a rate above the envelope is a correctness error and raises.
-    critical_times_s:
-        Times (window seconds) where ``rate_fn`` may change abruptly —
-        burst edges and peaks.  The majorant check and the
-        :meth:`expected_requests` quadrature always sample these points
-        (each bracketed by ±1 µs to catch jump discontinuities from both
-        sides), so a burst narrower than the check grid cannot hide
-        between grid samples.
-    """
-
-    rate_fn: Callable[[float], float]
-    max_rate_per_s: float
-    critical_times_s: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.max_rate_per_s <= 0:
-            raise ValueError(
-                f"envelope rate must be positive, got {self.max_rate_per_s}"
-            )
-
-    def _critical_grid(self, duration_s: float) -> np.ndarray:
-        """The critical times inside the window, jump-bracketed, sorted."""
-        pts = [
-            t
-            for c in self.critical_times_s
-            for t in (c - _CRITICAL_EPS_S, c, c + _CRITICAL_EPS_S)
-            if 0.0 <= t <= duration_s
-        ]
-        return np.asarray(sorted(pts), dtype=np.float64)
-
-    def _check_grid(self, duration_s: float) -> np.ndarray:
-        """Regular grid at check resolution, merged with critical times."""
-        n = max(2, int(np.ceil(duration_s / ENVELOPE_CHECK_STEP_S)) + 1)
-        grid = np.linspace(0.0, duration_s, n)
-        extra = self._critical_grid(duration_s)
-        if extra.size:
-            grid = np.unique(np.concatenate([grid, extra]))
-        return grid
-
-    def _validate_envelope(self, duration_s: float) -> None:
-        """Deterministic majorant check on the burst-aware grid.
-
-        Runs *before* any candidate is drawn, so a violated envelope
-        raises regardless of where the random candidates happen to land —
-        the regression the ``critical_times_s`` grid exists for.
-        """
-        if duration_s <= 0:
-            return
-        grid = self._check_grid(duration_s)
-        rates = np.array([self.rate_fn(float(t)) for t in grid])
-        if np.any(rates > self.max_rate_per_s * (1.0 + 1e-9)):
-            raise ValueError(
-                f"rate_fn exceeds the thinning envelope {self.max_rate_per_s:g} "
-                f"(max observed {rates.max():g}) — thinning would under-sample"
-            )
-        if np.any(rates < 0):
-            raise ValueError("rate_fn must be non-negative everywhere")
-
-    def arrivals(
-        self, duration_s: float, rng: int | np.random.Generator | None = None
-    ) -> np.ndarray:
-        """Sample the arrival times within ``[0, duration_s)``, sorted.
-
-        Thinning: homogeneous candidates at ``max_rate_per_s``, each kept
-        with probability ``rate_fn(t) / max_rate_per_s``.
-        """
-        if duration_s < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_s}")
-        self._validate_envelope(duration_s)
-        gen = as_generator(rng)
-        candidates = PoissonWorkload(self.max_rate_per_s).arrivals(
-            duration_s, gen
-        )
-        if candidates.size == 0:
-            return candidates
-        rates = np.array([self.rate_fn(float(t)) for t in candidates])
-        if np.any(rates > self.max_rate_per_s * (1.0 + 1e-9)):
-            # The grid check can still be beaten by a spike between both
-            # the grid and the declared critical times; candidate times
-            # are a last line of defense.
-            raise ValueError(
-                f"rate_fn exceeds the thinning envelope {self.max_rate_per_s:g} "
-                f"(max observed {rates.max():g}) — thinning would under-sample"
-            )
-        if np.any(rates < 0):
-            raise ValueError("rate_fn must be non-negative everywhere")
-        keep = gen.uniform(size=candidates.size) < rates / self.max_rate_per_s
-        return candidates[keep]
-
-    def expected_requests(self, duration_s: float, step_s: float = 60.0) -> float:
-        """Mean arrivals in the window: the integral of the rate function.
-
-        Trapezoidal quadrature at ``step_s`` resolution, with the
-        workload's critical times merged into the node set — a burst
-        shorter than ``step_s`` between two nodes used to vanish from the
-        integral entirely; its bracketed edges now pin the rectangle.
-        """
-        if duration_s < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_s}")
-        if step_s <= 0:
-            raise ValueError(f"step must be positive, got {step_s}")
-        if duration_s == 0:
-            return 0.0
-        t = np.linspace(0.0, duration_s, max(2, int(np.ceil(duration_s / step_s)) + 1))
-        extra = self._critical_grid(duration_s)
-        if extra.size:
-            t = np.unique(np.concatenate([t, extra]))
-        rates = np.array([self.rate_fn(float(s)) for s in t])
-        return float(np.trapezoid(rates, t))
 
 
 def default_rate(

@@ -3,12 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.carbon.accounting import (
-    CarbonAccountant,
-    DEFAULT_PUE,
-    carbon_grams,
-    joules_to_kwh,
-)
+from repro.carbon.accounting import DEFAULT_PUE, carbon_grams, joules_to_kwh
 
 
 class TestConversions:
@@ -41,44 +36,3 @@ class TestConversions:
             carbon_grams(1.0, 0.0)
         with pytest.raises(ValueError):
             carbon_grams(1.0, 100.0, pue=0.9)
-
-
-class TestCarbonAccountant:
-    def test_accumulates(self):
-        acc = CarbonAccountant()
-        g1 = acc.record(3.6e6, 100.0, requests=10)
-        g2 = acc.record(3.6e6, 300.0, requests=30)
-        assert acc.total_energy_j == pytest.approx(7.2e6)
-        assert acc.total_carbon_g == pytest.approx(g1 + g2)
-        assert acc.total_requests == 40
-        assert acc.epochs == 2
-
-    def test_per_request_averages(self):
-        acc = CarbonAccountant(pue=1.0)
-        acc.record(1000.0, 360.0, requests=10)  # 0.1 g total
-        assert acc.joules_per_request == pytest.approx(100.0)
-        assert acc.grams_per_request == pytest.approx(0.01)
-
-    def test_per_request_without_requests_raises(self):
-        acc = CarbonAccountant()
-        acc.record(10.0, 100.0)
-        with pytest.raises(ValueError):
-            _ = acc.grams_per_request
-
-    def test_additivity_vs_single_shot(self):
-        """Accounting in two epochs at the same intensity must equal one
-        epoch with the summed energy (the ledger is linear)."""
-        split = CarbonAccountant()
-        split.record(1e6, 250.0)
-        split.record(2e6, 250.0)
-        whole = CarbonAccountant()
-        whole.record(3e6, 250.0)
-        assert split.total_carbon_g == pytest.approx(whole.total_carbon_g)
-
-    def test_invalid_pue(self):
-        with pytest.raises(ValueError):
-            CarbonAccountant(pue=0.5)
-
-    def test_negative_requests_rejected(self):
-        with pytest.raises(ValueError):
-            CarbonAccountant().record(1.0, 1.0, requests=-1)

@@ -1,37 +1,13 @@
-"""Graph-space feasibility and realization."""
+"""Graph realization onto concrete GPUs."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import uniform_config
-from repro.core.feasibility import graph_is_feasible, realize_graph
+from repro.core.feasibility import realize_graph
 from repro.core.graph import ConfigGraph
 from repro.core.moves import MoveGenerator
-
-
-class TestGraphFeasibility:
-    def test_config_graphs_are_feasible(self, zoo):
-        fam = zoo.family("efficientnet")
-        for pid in (1, 3, 10, 19):
-            cfg = uniform_config(fam, 3, pid, 1)
-            g = ConfigGraph.from_config(cfg, fam.num_variants)
-            assert graph_is_feasible(g, 3, zoo.memory_mask(fam.name))
-
-    def test_wrong_gpu_count_infeasible(self, zoo):
-        fam = zoo.family("efficientnet")
-        cfg = uniform_config(fam, 3, 19, 1)
-        g = ConfigGraph.from_config(cfg, fam.num_variants)
-        assert not graph_is_feasible(g, 2)
-        assert not graph_is_feasible(g, 4)
-
-    def test_memory_mask_vetoes(self, zoo):
-        w = np.zeros((4, 5), dtype=np.int64)
-        w[3, 0] = 1  # albert-xxlarge on 1g
-        w[0, 0] = 6
-        g = ConfigGraph(family="albert", weights=w)
-        assert not graph_is_feasible(g, 1, zoo.memory_mask("albert"))
-        assert graph_is_feasible(g, 1)  # without the mask it decomposes
 
 
 class TestRealizeGraph:

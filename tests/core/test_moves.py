@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import base_config, co2opt_config
+from repro.core.feasibility import realize_graph
 from repro.core.graph import ConfigGraph, _graph_from_config
 from repro.core.moves import GED_THRESHOLD, MoveGenerator, partition_neighbors
 from repro.gpu.cluster import decompose_histogram
-from repro.gpu.partitions import ALL_PARTITION_HISTOGRAMS
+from repro.gpu.partitions import ALL_PARTITION_HISTOGRAMS, NUM_PARTITIONS
 
 
 class TestPartitionNeighbors:
@@ -180,3 +181,43 @@ class TestRandomAndPerturb:
             )
             changed_counts.append(10 - same)
         assert 1 <= np.mean(changed_counts) <= 4
+
+
+class TestPartitionGranularity:
+    """A pool's granularity bounds every partition the search reaches."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n_gpus=st.integers(1, 4),
+        family=st.sampled_from(["efficientnet", "albert", "yolov5"]),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_no_partition_above_the_granularity(self, zoo, seed, n_gpus, family):
+        num_variants = zoo.family(family).num_variants
+        rng = np.random.default_rng(seed)
+        for k in range(1, NUM_PARTITIONS + 1):
+            moves = MoveGenerator(zoo=zoo, family=family, max_partition_id=k)
+            chain = [moves.random_config(n_gpus, rng)]
+            for _ in range(4):
+                proposal = moves.propose(chain[-1], rng)
+                if proposal is not None:
+                    chain.append(proposal)
+            chain.append(moves.perturb_config(chain[0], rng))
+            for config in chain:
+                assert max(config.partition_ids) <= k
+                graph = ConfigGraph.from_config(config, num_variants)
+                realized = realize_graph(graph, n_gpus, max_partition_id=k)
+                assert max(realized.partition_ids) <= k
+                assert ConfigGraph.from_config(realized, num_variants) == graph
+            # A graph from the unrestricted space realizes within the
+            # granularity or not at all.
+            free = MoveGenerator(zoo=zoo, family=family).random_config(n_gpus, rng)
+            try:
+                realized = realize_graph(
+                    ConfigGraph.from_config(free, num_variants),
+                    n_gpus,
+                    max_partition_id=k,
+                )
+            except ValueError:
+                continue
+            assert max(realized.partition_ids) <= k

@@ -73,11 +73,6 @@ class TestDayCurve:
         for t in (0.0, 13.5, 30.0):
             assert model.total_rate(t) == pytest.approx(model.rates(t).sum())
 
-    def test_peak_total_rate_bounds_totals(self, model):
-        bound = model.peak_total_rate()
-        for t in np.arange(0.0, 48.0, 0.5):
-            assert model.total_rate(t) <= bound + 1e-9
-
 
 class TestWeekend:
     def test_weekend_damped_relative_to_weekday(self, model):
@@ -175,21 +170,3 @@ class TestValidationAndFactory:
         assert isinstance(default_demand(10.0, "diurnal"), DiurnalDemandModel)
         with pytest.raises(ValueError, match="kind"):
             default_demand(10.0, "chaotic")
-
-
-class TestWorkloadBridge:
-    def test_arrival_counts_track_the_rate_curve(self):
-        """The thinning bridge: per-2h arrival counts over a day follow
-        the origin's diurnal shape (small mean rate keeps the test fast)."""
-        m = DiurnalDemandModel(
-            origins=default_origins(), mean_total_rate_per_s=6.0
-        )
-        wl = m.workload("europe")
-        arrivals = wl.arrivals(24 * 3600.0, rng=5)
-        counts, _ = np.histogram(arrivals, bins=12, range=(0.0, 24 * 3600.0))
-        expected = np.array(
-            [m.rate("europe", 2.0 * b + 1.0) * 7200.0 for b in range(12)]
-        )
-        # Poisson noise on thousands of arrivals: a loose 15% band.
-        assert counts.max() > counts.min() * 1.5  # genuinely nonstationary
-        np.testing.assert_allclose(counts, expected, rtol=0.15)

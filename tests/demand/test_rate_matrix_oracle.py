@@ -4,9 +4,8 @@
 oracle below is the scalar form it replaced: one ``_shape`` call per
 origin per time, multiplying weekend damping and burst factors in turn.
 Every public read of a demand model (``rates``, ``total_rate``,
-``total_rates``, a workload's ``rate_fn``) must return exactly the
-oracle's floats, including at burst edges and at the local midnights
-where weekends begin and end.
+``total_rates``) must return exactly the oracle's floats, including at
+burst edges and at the local midnights where weekends begin and end.
 """
 
 import numpy as np
@@ -50,13 +49,6 @@ def oracle_rates(model, t_h):
         return model.mean_total_rate_per_s * weights
     shapes = np.array([oracle_shape(model, o, t_h) for o in model.origins])
     return model.mean_total_rate_per_s * weights * shapes
-
-
-def oracle_rate_fn(model, origin, start_h):
-    idx = model.origin_names.index(origin)
-    origin_obj = model.origins[idx]
-    mean = model.mean_total_rate_per_s * float(normalized_weights(model.origins)[idx])
-    return lambda t_s: mean * oracle_shape(model, origin_obj, start_h + t_s / 3600.0)
 
 
 def bits(x):
@@ -143,25 +135,6 @@ class TestRateMatrixMatchesOracle:
             total = float(expected.sum())
             assert bits(model.total_rate(float(t))) == bits(total)
             assert bits(totals[i]) == bits(total)
-
-    @given(
-        model=diurnal_models(),
-        start_h=st.floats(min_value=0.0, max_value=200.0),
-        offsets_s=st.lists(
-            st.floats(min_value=0.0, max_value=48 * 3600.0), min_size=1, max_size=10
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_workload_rate_fn_bit_for_bit(self, model, start_h, offsets_s):
-        origin = model.origin_names[-1]
-        rate_fn = model.workload(origin, start_h=start_h).rate_fn
-        expected_fn = oracle_rate_fn(model, origin, start_h)
-        # Burst edges in window seconds, where the rate jumps.
-        edges_s = [(t - start_h) * 3600.0 for t in edge_times(model)]
-        for t_s in offsets_s + [s for s in edges_s if s >= 0.0]:
-            got = rate_fn(t_s)
-            assert type(got) is float
-            assert bits(got) == bits(expected_fn(t_s))
 
 
 class TestRateMatrixContract:

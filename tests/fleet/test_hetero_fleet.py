@@ -6,6 +6,9 @@ pre-heterogeneity fleet path (``devices=None``), while mixed fleets route
 on effective gCO2/request and gate their least-efficient silicon first.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,9 +24,11 @@ from repro.scenarios import (
     RoutingSpec,
     Scenario,
     ScenarioSpec,
+    load_scenario_file,
 )
 
 GPUS = 2
+SCENARIOS = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
 
 
 def small_fleet(
@@ -260,6 +265,21 @@ class TestHeterogeneousCapacityManager:
 
 
 class TestScenarioDevices:
+    def test_pools_with_an_l4_deploy_full_gpus_in_a_scenario_run(self):
+        """Through the front door, every deployment of a region whose pool
+        holds an L4 (``uk-eso`` mixes it with an A100, ``apac-solar`` is
+        all L4) names partition 1 on each GPU."""
+        spec, _ = load_scenario_file(SCENARIOS / "hetero_fleet.toml")
+        result = Scenario(spec.with_fidelity("smoke")).build().run(duration_h=6.0)
+        labels = {
+            region.name: [inv.deployed_label for inv in run.invocations]
+            for region, run in zip(result.regions, result.results)
+        }
+        for name in ("uk-eso", "apac-solar"):
+            assert labels[name], name
+            for label in labels[name]:
+                assert set(ast.literal_eval(label)) == {1}, (name, label)
+
     def test_runner_threads_devices_and_efficiency_flag(self):
         runner = ExperimentRunner()
         spec = ScenarioSpec(

@@ -2,15 +2,8 @@
 
 import pytest
 
-from repro.carbon.generator import NORDIC_HYDRO
 from repro.carbon.traces import ciso_march_48h, eso_march_48h
-from repro.fleet import (
-    REGION_NAMES,
-    Region,
-    default_fleet_regions,
-    make_region,
-    region_by_name,
-)
+from repro.fleet import REGION_NAMES, Region, default_fleet_regions, region_by_name
 
 
 class TestRegistry:
@@ -65,23 +58,11 @@ class TestRegionValidation:
         assert r2.trace is r.trace
 
 
-class TestMakeRegion:
-    def test_deterministic_trace(self):
-        a = make_region("hydro", NORDIC_HYDRO, seed=42)
-        b = make_region("hydro", NORDIC_HYDRO, seed=42)
-        assert (a.trace.values == b.trace.values).all()
-
-    def test_seed_changes_trace(self):
-        a = make_region("hydro", NORDIC_HYDRO, seed=1)
-        b = make_region("hydro", NORDIC_HYDRO, seed=2)
-        assert (a.trace.values != b.trace.values).any()
-
-
 class TestGpuCountValidation:
     """Regression tests: a region must never accept a non-positive pool.
 
-    Every construction path — the dataclass, the registry, the profile
-    factory, and the resize helper — validates ``n_gpus > 0``.
+    Every construction path — the dataclass, the registry and the resize
+    helper — validates ``n_gpus > 0``.
     """
 
     @pytest.mark.parametrize("bad", [0, -1, -10])
@@ -93,11 +74,6 @@ class TestGpuCountValidation:
     def test_registry_rejects(self, bad):
         with pytest.raises(ValueError, match="n_gpus must be positive"):
             region_by_name("us-ciso", n_gpus=bad)
-
-    @pytest.mark.parametrize("bad", [0, -2])
-    def test_make_region_rejects(self, bad):
-        with pytest.raises(ValueError, match="n_gpus must be positive"):
-            make_region("x", NORDIC_HYDRO, n_gpus=bad)
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_with_gpus_rejects(self, bad):

@@ -1,16 +1,10 @@
-"""Cluster aggregation and slice-histogram decomposition."""
+"""Slice-histogram decomposition onto per-GPU MIG partitions."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.gpu.cluster import (
-    GpuCluster,
-    decompose_histogram,
-    histogram_is_feasible,
-    max_slices,
-    min_slices,
-)
+from repro.gpu.cluster import decompose_histogram
 from repro.gpu.partitions import ALL_PARTITION_HISTOGRAMS, partition_by_id
 
 
@@ -75,96 +69,3 @@ class TestDecompose:
         for pid in result:
             total += ALL_PARTITION_HISTOGRAMS[pid - 1]
         assert np.array_equal(total, h)
-
-    def test_feasibility_wrapper(self):
-        assert histogram_is_feasible([7, 0, 0, 0, 0], 1)
-        assert not histogram_is_feasible([7, 0, 0, 0, 0], 2)
-
-    def test_slice_count_bounds(self):
-        assert max_slices(10) == 70
-        assert min_slices(10) == 10
-
-
-class TestGpuCluster:
-    def test_initial_state_unpartitioned(self):
-        c = GpuCluster(n_gpus=4)
-        assert c.partition_ids == (1, 1, 1, 1)
-        assert c.total_instances == 4
-        assert c.histogram().tolist() == [0, 0, 0, 0, 4]
-
-    def test_rejects_empty_cluster(self):
-        with pytest.raises(ValueError):
-            GpuCluster(n_gpus=0)
-
-    def test_apply_partitions_parallel_downtime(self):
-        c = GpuCluster(n_gpus=2)
-        downtime = c.apply_partitions([19, 1])
-        # GPU 0 repartitions (expensive); GPU 1 stays (free); max applies.
-        assert downtime > 0
-        assert c.partition_ids == (19, 1)
-
-    def test_apply_partitions_wrong_length(self):
-        c = GpuCluster(n_gpus=2)
-        with pytest.raises(ValueError):
-            c.apply_partitions([1])
-
-    def test_apply_partitions_is_atomic_on_invalid_id(self):
-        """Regression: an invalid id midway used to raise only after the
-        earlier GPUs had already repartitioned, leaving the cluster in a
-        half-applied state."""
-        c = GpuCluster(n_gpus=3)
-        before = c.partition_ids
-        with pytest.raises(Exception):
-            c.apply_partitions([19, 99, 3])  # 99 is not a MIG config id
-        assert c.partition_ids == before
-        assert all(d.reconfig_count == 0 for d in c.devices)
-
-    def test_slice_inventory_matches_histogram(self):
-        c = GpuCluster(n_gpus=3)
-        c.apply_partitions([1, 3, 19])
-        inv = c.slice_inventory()
-        assert len(inv) == c.total_instances == 1 + 3 + 7
-        h = c.histogram()
-        assert h.sum() == len(inv)
-
-    def test_describe_mentions_spec_and_partitions(self):
-        c = GpuCluster(n_gpus=1)
-        text = c.describe()
-        assert "A100" in text and "#1" in text
-
-
-class TestAwakeMasks:
-    def test_initially_all_awake(self):
-        c = GpuCluster(n_gpus=3)
-        assert c.awake_mask == (True, True, True)
-        assert c.n_awake == 3
-
-    def test_sleeping_shrinks_histogram_and_instances(self):
-        c = GpuCluster(n_gpus=3)
-        c.apply_partitions([1, 3, 19])
-        c.set_awake_count(2)  # gates the highest gpu_id (config 19, 7x1g)
-        assert c.awake_mask == (True, True, False)
-        assert c.awake_instances == 1 + 3
-        assert c.awake_histogram().sum() == 4
-        assert c.histogram().sum() == 11  # the full inventory is untouched
-
-    def test_awake_histogram_feasible_on_awake_count(self):
-        c = GpuCluster(n_gpus=4)
-        c.apply_partitions([1, 1, 3, 19])
-        for k in (1, 2, 3, 4):
-            c.set_awake_count(k)
-            assert histogram_is_feasible(c.awake_histogram(), c.n_awake)
-
-    def test_wake_pays_downtime_sleep_is_free(self):
-        c = GpuCluster(n_gpus=2)
-        assert c.set_awake_count(1) == 0.0  # sleeping costs nothing
-        downtime = c.set_awake_count(2)  # waking reloads models
-        assert downtime > 0.0
-        assert c.devices[1].wake_count == 1
-
-    def test_awake_count_bounds(self):
-        c = GpuCluster(n_gpus=2)
-        with pytest.raises(ValueError):
-            c.set_awake_count(0)
-        with pytest.raises(ValueError):
-            c.set_awake_count(3)

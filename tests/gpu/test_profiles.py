@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.gpu.cluster import GpuCluster
-from repro.gpu.device import A100_40GB
-from repro.gpu.partitions import FINEST_PARTITION_ID, NUM_PARTITIONS
+from repro.gpu.partitions import NUM_PARTITIONS
 from repro.gpu.power import PowerModel
 from repro.gpu.profiles import (
     A100_PROFILE,
@@ -34,8 +32,7 @@ class TestRegistry:
 
     def test_a100_profile_is_the_seed_hardware(self):
         """The A100 profile must reproduce the pre-heterogeneity model
-        exactly: seed spec, default power model, unit throughput."""
-        assert A100_PROFILE.spec is A100_40GB
+        exactly: default power model, unit throughput."""
         assert A100_PROFILE.power == PowerModel()
         assert A100_PROFILE.throughput_scale == 1.0
         assert A100_PROFILE.partition_granularity == NUM_PARTITIONS
@@ -59,12 +56,10 @@ class TestRegistry:
 
     def test_invalid_profiles_rejected(self):
         with pytest.raises(ValueError, match="throughput scale"):
-            DeviceProfile(
-                name="x", spec=A100_40GB, power=PowerModel(), throughput_scale=0.0
-            )
+            DeviceProfile(name="x", power=PowerModel(), throughput_scale=0.0)
         with pytest.raises(ValueError, match="granularity"):
             DeviceProfile(
-                name="x", spec=A100_40GB, power=PowerModel(),
+                name="x", power=PowerModel(),
                 partition_granularity=NUM_PARTITIONS + 1,
             )
 
@@ -136,30 +131,6 @@ class TestDevicePool:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="at least one GPU"):
             DevicePool(profiles=())
-
-
-class TestDeviceGranularityEnforcement:
-    def test_l4_device_rejects_mig_repartition(self):
-        dev = L4_PROFILE.make_device(0)
-        with pytest.raises(ValueError, match="supports MIG partitions up to"):
-            dev.repartition(FINEST_PARTITION_ID)
-        assert dev.repartition(1) == 0.0  # same partition stays free
-
-    def test_a100_device_unrestricted(self):
-        dev = A100_PROFILE.make_device(0)
-        assert dev.repartition(FINEST_PARTITION_ID) > 0.0
-
-    def test_cluster_from_pool(self):
-        pool = DevicePool.of(("a100", "l4"))
-        cluster = GpuCluster(n_gpus=2, pool=pool)
-        assert [d.spec.name for d in cluster.devices] == ["L4-24GB", "A100-40GB"]
-        assert "1xa100+1xl4" in cluster.describe()
-        with pytest.raises(ValueError, match="supports MIG"):
-            cluster.apply_partitions([FINEST_PARTITION_ID, 1])
-
-    def test_cluster_pool_size_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="pool has 2"):
-            GpuCluster(n_gpus=3, pool=DevicePool.of(("a100", "l4")))
 
 
 class TestParseDevices:

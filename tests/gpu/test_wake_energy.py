@@ -51,7 +51,6 @@ class TestProfileDefaults:
         with pytest.raises(ValueError, match="non-negative"):
             DeviceProfile(
                 name="bad",
-                spec=A100_PROFILE.spec,
                 power=A100_PROFILE.power,
                 wake_energy_j=-1.0,
             )

@@ -3,6 +3,7 @@ and queueing-theory sanity properties."""
 
 import heapq
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -10,21 +11,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.serving.des import simulate_fifo
 from repro.serving.instance import sample_jitter
-from repro.serving.queueing import FifoQueue
 from repro.serving.workload import PoissonWorkload
 
 
 def reference_simulation(arrivals, service_means):
     """Readable event-driven specification of the serving pipeline.
 
-    Explicit event calendar + the FifoQueue, dispatching the queue head to
+    Explicit event calendar + a FIFO queue, dispatching the queue head to
     whichever instance frees first (idle instances ranked by how long they
     have been free).  Deterministic service times.
     """
     m = len(service_means)
     free_time = [0.0] * m
     busy = [False] * m
-    queue = FifoQueue()
+    queue = deque()
     start = np.zeros(len(arrivals))
     finish = np.zeros(len(arrivals))
     assigned = np.zeros(len(arrivals), dtype=int)
@@ -46,7 +46,7 @@ def reference_simulation(arrivals, service_means):
             busy[i] = False
             free_time[i] = t
             if queue:
-                nxt = queue.get()
+                nxt = queue.popleft()
                 start[nxt] = t
                 finish[nxt] = t + service_means[i]
                 assigned[nxt] = i
@@ -64,7 +64,7 @@ def reference_simulation(arrivals, service_means):
                 busy[i] = True
                 completions.append((finish[k], i, k))
             else:
-                queue.put(k)
+                queue.append(k)
             k_done += 1
     return start, finish, assigned
 

@@ -1,11 +1,10 @@
-"""Service instances and jitter sampling."""
+"""Service-time jitter sampling."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.gpu.slices import slice_by_name
-from repro.serving.instance import ServiceInstance, sample_jitter
+from repro.serving.instance import sample_jitter
 
 
 class TestSampleJitter:
@@ -34,32 +33,3 @@ class TestSampleJitter:
     def test_mean_one_for_any_cv(self, cv):
         j = sample_jitter(50_000, cv=cv, rng=0)
         assert abs(j.mean() - 1.0) < 0.05
-
-
-class TestServiceInstance:
-    def test_create_resolves_performance(self, zoo, perf):
-        v = zoo.variant("efficientnet", 2)
-        s = slice_by_name("2g")
-        inst = ServiceInstance.create(0, 0, s, v, perf)
-        assert inst.mean_service_s == pytest.approx(perf.latency_s(v, s))
-        assert inst.busy_watts == pytest.approx(perf.busy_watts(v, s))
-        assert inst.accuracy == v.accuracy
-
-    def test_service_rate(self, zoo, perf):
-        v = zoo.variant("albert", 1)
-        inst = ServiceInstance.create(0, 0, slice_by_name("1g"), v, perf)
-        assert inst.service_rate == pytest.approx(1.0 / inst.mean_service_s)
-
-    def test_invalid_service_time_raises(self, zoo):
-        v = zoo.variant("albert", 1)
-        with pytest.raises(ValueError):
-            ServiceInstance(
-                instance_id=0, gpu_id=0, slice_type=slice_by_name("1g"),
-                variant=v, mean_service_s=0.0, busy_watts=10.0,
-            )
-
-    def test_str_mentions_placement(self, zoo, perf):
-        v = zoo.variant("yolov5", 1)
-        inst = ServiceInstance.create(3, 1, slice_by_name("3g"), v, perf)
-        text = str(inst)
-        assert "gpu1" in text and "3g" in text and "YOLOv5l" in text

@@ -1,9 +1,9 @@
-"""Request records and batch views."""
+"""Request batch records and views."""
 
 import numpy as np
 import pytest
 
-from repro.serving.requests import Request, RequestBatch
+from repro.serving.requests import RequestBatch
 
 
 def make_batch(n=5):
@@ -16,24 +16,6 @@ def make_batch(n=5):
     )
 
 
-class TestRequest:
-    def test_derived_times(self):
-        r = Request(
-            request_id=0, arrival_s=1.0, start_s=1.5, finish_s=2.5,
-            instance_index=3,
-        )
-        assert r.wait_s == pytest.approx(0.5)
-        assert r.service_s == pytest.approx(1.0)
-        assert r.latency_s == pytest.approx(1.5)
-
-    def test_misordered_times_raise(self):
-        with pytest.raises(ValueError):
-            Request(
-                request_id=0, arrival_s=2.0, start_s=1.0, finish_s=3.0,
-                instance_index=0,
-            )
-
-
 class TestRequestBatch:
     def test_len_and_vector_views(self):
         b = make_batch(4)
@@ -42,12 +24,6 @@ class TestRequestBatch:
         assert np.allclose(b.service_s, 1.0)
         assert np.allclose(b.latency_s, 1.5)
         assert np.allclose(b.latency_ms, 1500.0)
-
-    def test_request_object_view(self):
-        b = make_batch(3)
-        r = b.request(2)
-        assert r.request_id == 2
-        assert r.arrival_s == 2.0
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpu.slices import slice_by_name
-from repro.serving.workload import (
-    NonstationaryPoissonWorkload,
-    PoissonWorkload,
-    default_rate,
-)
+from repro.serving.workload import PoissonWorkload, default_rate
 
 
 class TestPoissonWorkload:
@@ -52,123 +48,6 @@ class TestPoissonWorkload:
     def test_negative_duration_raises(self, rng):
         with pytest.raises(ValueError):
             PoissonWorkload(1.0).arrivals(-1.0, rng)
-
-
-class TestNonstationaryPoisson:
-    """Thinning (Lewis & Shedler): kept candidates follow rate(t)."""
-
-    @staticmethod
-    def ramp(max_rate=20.0, duration=100.0):
-        return NonstationaryPoissonWorkload(
-            rate_fn=lambda t: max_rate * t / duration, max_rate_per_s=max_rate
-        )
-
-    def test_arrivals_sorted_within_window(self, rng):
-        arr = self.ramp().arrivals(100.0, rng)
-        assert np.all(np.diff(arr) >= 0)
-        assert arr.size == 0 or (arr[0] >= 0 and arr[-1] < 100.0)
-
-    def test_mean_count_matches_rate_integral(self):
-        wl = self.ramp(max_rate=20.0, duration=100.0)
-        # Integral of a 0→20 ramp over 100 s = 1000 expected arrivals.
-        counts = [wl.arrivals(100.0, seed).size for seed in range(30)]
-        assert np.mean(counts) == pytest.approx(1000.0, rel=0.1)
-        assert wl.expected_requests(100.0) == pytest.approx(1000.0, rel=1e-6)
-
-    def test_counts_concentrate_where_the_rate_is(self):
-        """A ramp rate puts ~3x the arrivals in the last half-window."""
-        arr = self.ramp().arrivals(100.0, rng=7)
-        late = float(np.sum(arr >= 50.0))
-        early = float(np.sum(arr < 50.0))
-        assert late / early == pytest.approx(3.0, rel=0.25)
-
-    def test_constant_rate_matches_homogeneous_mean(self):
-        wl = NonstationaryPoissonWorkload(
-            rate_fn=lambda t: 50.0, max_rate_per_s=50.0
-        )
-        counts = [wl.arrivals(10.0, seed).size for seed in range(30)]
-        assert np.mean(counts) == pytest.approx(500.0, rel=0.1)
-
-    def test_reproducible_with_seed(self):
-        wl = self.ramp()
-        assert np.array_equal(wl.arrivals(50.0, 3), wl.arrivals(50.0, 3))
-
-    def test_rate_above_envelope_raises(self, rng):
-        wl = NonstationaryPoissonWorkload(
-            rate_fn=lambda t: 30.0, max_rate_per_s=20.0
-        )
-        with pytest.raises(ValueError, match="envelope"):
-            wl.arrivals(10.0, rng)
-
-    @staticmethod
-    def narrow_burst(critical=()):
-        """1 req/s background with a 10-ms, 100 req/s spike at t=500 s.
-
-        The spike dwarfs the 20 req/s envelope but is ~6000x narrower than
-        the 60 s check grid and, at ~20 candidates/s, lands a thinning
-        candidate only once every ~5 windows — the silent under-sampling
-        regression.
-        """
-        return NonstationaryPoissonWorkload(
-            rate_fn=lambda t: 100.0 if 500.0 <= t < 500.01 else 1.0,
-            max_rate_per_s=20.0,
-            critical_times_s=critical,
-        )
-
-    def test_narrow_burst_above_envelope_detected(self):
-        """Regression: with the burst declared critical, the envelope
-        violation raises deterministically — on every seed, before any
-        candidate is drawn — instead of only when a random candidate
-        happens to land inside the 10 ms burst."""
-        wl = self.narrow_burst(critical=(500.0, 500.005, 500.01))
-        for seed in range(5):
-            with pytest.raises(ValueError, match="envelope"):
-                wl.arrivals(1000.0, seed)
-
-    def test_narrow_burst_was_silently_under_sampled(self):
-        """The pre-fix behavior, pinned: without critical times, seeds
-        whose candidates miss the 10 ms burst sample without raising."""
-        wl = self.narrow_burst(critical=())
-        escaped = 0
-        for seed in range(5):
-            try:
-                wl.arrivals(1000.0, seed)
-                escaped += 1
-            except ValueError:
-                pass
-        assert escaped > 0
-
-    def test_expected_requests_sees_narrow_burst(self):
-        """A burst between quadrature nodes used to vanish from the
-        integral; its critical edges now pin it."""
-        burst_area = 99.0 * 0.01  # (100 - 1) req/s for 10 ms
-        base = NonstationaryPoissonWorkload(
-            rate_fn=lambda t: 1.0, max_rate_per_s=20.0
-        )
-        wl = self.narrow_burst(critical=(500.0, 500.005, 500.01))
-        extra = wl.expected_requests(1000.0) - base.expected_requests(1000.0)
-        assert extra == pytest.approx(burst_area, rel=0.05)
-
-    def test_negative_rate_raises(self, rng):
-        wl = NonstationaryPoissonWorkload(
-            rate_fn=lambda t: -1.0, max_rate_per_s=20.0
-        )
-        with pytest.raises(ValueError, match="non-negative"):
-            wl.arrivals(10.0, rng)
-
-    def test_invalid_envelope_rejected(self):
-        with pytest.raises(ValueError):
-            NonstationaryPoissonWorkload(rate_fn=lambda t: 1.0, max_rate_per_s=0.0)
-
-    def test_zero_duration_is_empty(self, rng):
-        assert self.ramp().arrivals(0.0, rng).size == 0
-        assert self.ramp().expected_requests(0.0) == 0.0
-
-    def test_negative_duration_raises(self, rng):
-        with pytest.raises(ValueError):
-            self.ramp().arrivals(-1.0, rng)
-        with pytest.raises(ValueError):
-            self.ramp().expected_requests(-1.0)
 
 
 class TestDefaultRate:

@@ -21,7 +21,8 @@ SCENARIOS = REPO_ROOT / "examples" / "scenarios"
 
 #: Modules a constant-demand, ungated, batch-free fleet on implicit
 #: A100s never runs: the demand, shifting and gating layers, the
-#: device-pool feasibility bridge and modules only tests use.
+#: device-pool feasibility bridge and its histogram decomposition, and
+#: the sweep and experiment-registry modules.
 SWITCHED_OFF = (
     "repro.demand",
     "repro.demand.diurnal",
@@ -32,9 +33,6 @@ SWITCHED_OFF = (
     "repro.shifting.scheduler",
     "repro.fleet.capacity",
     "repro.core.feasibility",
-    "repro.core.pods",
-    "repro.carbon.embodied",
-    "repro.serving.queueing",
     "repro.gpu.cluster",
     "repro.scenarios.sweep",
     "repro.scenarios.registry",
