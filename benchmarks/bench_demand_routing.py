@@ -19,30 +19,31 @@ from benchmarks.conftest import FIDELITY, SEED, once
 def test_demand_routing(benchmark, runner):
     result = once(
         benchmark, demand_routing,
-        runner=runner, fidelity=FIDELITY, seed=SEED, n_gpus=2,
+        runner=runner, fidelity=FIDELITY, seed=SEED,
     )
     print()
     print(render(result, title="Demand — geo-diurnal routing comparison"))
 
-    static = result.total_carbon_g["static"]
-    greedy = result.total_carbon_g["carbon-greedy"]
-    forecast = result.total_carbon_g["forecast-aware"]
+    runs = result.results
+    static = runs["static"].total_carbon_g
+    greedy = runs["carbon-greedy"].total_carbon_g
+    forecast = runs["forecast-aware"].total_carbon_g
     # The acceptance ordering: static > greedy >= forecast-aware.
     assert greedy < static
     assert forecast <= greedy
-    assert result.carbon_save_vs_static_pct["carbon-greedy"] > 2.0
+    assert result.saving_pct("carbon-greedy", "static") > 2.0
     # Pair-aware carbon routing keeps the user SLA at or above the
     # pair-blind static baseline.
     for router in ("carbon-greedy", "forecast-aware"):
         assert (
-            result.user_sla_attainment[router]
-            >= result.user_sla_attainment["static"]
+            runs[router].user_sla_attainment
+            >= runs["static"].user_sla_attainment
         )
     # The shift is real: the dirty APAC grid sheds share.
     assert (
-        result.request_shares["carbon-greedy"]["apac-solar"]
-        < result.request_shares["static"]["apac-solar"]
+        runs["carbon-greedy"].request_shares["apac-solar"]
+        < runs["static"].request_shares["apac-solar"]
     )
     # Accuracy stays in the paper's loss band despite the routing.
-    for router in result.routers:
-        assert result.accuracy_loss_pct[router] < 5.5
+    for run in runs.values():
+        assert run.accuracy_loss_pct < 5.5

@@ -20,21 +20,22 @@ def test_fleet_load_shifting(benchmark, runner):
     print()
     print(render(result, title="Fleet — routing-policy comparison (3 regions)"))
 
-    static = result.total_carbon_g["static"]
-    greedy = result.total_carbon_g["carbon-greedy"]
+    runs = result.results
+    static = runs["static"].total_carbon_g
+    greedy = runs["carbon-greedy"].total_carbon_g
     assert greedy < static
-    assert result.carbon_save_vs_static_pct["carbon-greedy"] > 1.0
+    assert result.saving_pct("carbon-greedy", "static") > 1.0
     assert (
-        result.sla_attainment["carbon-greedy"]
-        >= result.sla_attainment["static"]
+        runs["carbon-greedy"].sla_attainment
+        >= runs["static"].sla_attainment
     )
     # The shift is real: the clean region carries more than its static share
     # (at smoke fidelity the coarse epochs can leave the shares tied).
     if strict():
         assert (
-            result.request_shares["carbon-greedy"]["nordic-hydro"]
-            > result.request_shares["static"]["nordic-hydro"]
+            runs["carbon-greedy"].request_shares["nordic-hydro"]
+            > runs["static"].request_shares["nordic-hydro"]
         )
     # Accuracy stays in the paper's loss band despite the routing.
-    for router in result.routers:
-        assert result.accuracy_loss_pct[router] < 5.5
+    for run in runs.values():
+        assert run.accuracy_loss_pct < 5.5

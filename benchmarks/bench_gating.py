@@ -21,33 +21,36 @@ from benchmarks.conftest import FIDELITY, SEED, once
 def test_gating_elasticity(benchmark, runner):
     result = once(
         benchmark, gating_elasticity,
-        runner=runner, fidelity=FIDELITY, seed=SEED, n_gpus=2,
+        runner=runner, fidelity=FIDELITY, seed=SEED,
     )
     print()
     print(render(result, title="Gating — elastic capacity comparison"))
+    always_on_gap = result.saving_pct("always-on/greedy", "always-on/static")
+    gated_gap = result.saving_pct("reactive/greedy", "reactive/static")
+    growth = gated_gap / always_on_gap if always_on_gap > 0 else float("inf")
     print(
-        f"\ncarbon-greedy-vs-static gap: {result.always_on_gap_pct:.2f}% "
-        f"always-on -> {result.gated_gap_pct:.2f}% gated "
-        f"({result.gap_growth:.1f}x)"
+        f"\ncarbon-greedy-vs-static gap: {always_on_gap:.2f}% "
+        f"always-on -> {gated_gap:.2f}% gated ({growth:.1f}x)"
     )
 
-    carbon = result.total_carbon_g
-    sla = result.user_sla_attainment
+    runs = result.results
+    carbon = {label: run.total_carbon_g for label, run in runs.items()}
+    sla = {label: run.user_sla_attainment for label, run in runs.items()}
 
     # The tentpole acceptance: gating multiplies the routing gap >= 2x.
-    assert result.always_on_gap_pct > 0.0
-    assert result.gated_gap_pct >= 2.0 * result.always_on_gap_pct
+    assert always_on_gap > 0.0
+    assert gated_gap >= 2.0 * always_on_gap
 
     # Gating never spends more energy than always-on, router by router.
-    energy = result.total_energy_j
+    energy = {label: run.total_energy_j for label, run in runs.items()}
     assert energy["reactive/static"] <= energy["always-on/static"] * (1 + 1e-9)
     assert energy["reactive/greedy"] <= energy["always-on/greedy"] * (1 + 1e-9)
 
     # Idle power genuinely followed traffic for the carbon-aware policies.
-    assert result.mean_awake_fraction["reactive/greedy"] < 1.0
-    assert result.mean_awake_fraction["prewake/forecast"] < 1.0
+    assert runs["reactive/greedy"].mean_awake_fraction < 1.0
+    assert runs["prewake/forecast"].mean_awake_fraction < 1.0
     # ... but the static split had nothing to gate.
-    assert result.mean_awake_fraction["reactive/static"] == 1.0
+    assert runs["reactive/static"].mean_awake_fraction == 1.0
 
     # Forecast pre-wake beats reactive gating: user SLA no worse, carbon
     # no higher, and at least one of the two strictly better.
@@ -59,5 +62,5 @@ def test_gating_elasticity(benchmark, runner):
     )
 
     # Accuracy stays in the paper's loss band despite the gating.
-    for label in result.labels:
-        assert result.accuracy_loss_pct[label] < 5.5
+    for run in runs.values():
+        assert run.accuracy_loss_pct < 5.5

@@ -1,9 +1,10 @@
 """One entry point per table and figure of the Clover paper's evaluation.
 
-Every function returns a small result dataclass whose ``table()`` method
+Every entry returns a small result object whose ``table()`` method
 yields ``(headers, rows)`` for ASCII rendering (see
-:mod:`repro.analysis.reporting`), and whose fields carry the raw series for
-tests and benchmarks.  The mapping to the paper:
+:mod:`repro.analysis.reporting`); the paper-figure results also carry
+their raw series as fields for tests and benchmarks.  The mapping to the
+paper:
 
 ==========  ===========================================================
 table1      the three applications and their model variants
@@ -28,21 +29,24 @@ hetero      heterogeneous GPU fleets: efficiency-aware vs intensity routing
 shifting    temporal load shifting: deferrable batch into clean epochs
 ==========  ===========================================================
 
-``fig16``, ``fleet``, ``demand``, ``gating`` and ``hetero`` run through
-the :mod:`repro.scenarios` layer: each builds declarative
-:class:`~repro.scenarios.spec.ScenarioSpec` values — fig16 as N=1
-single-region scenarios (behavior-identical to the seed path), the rest
-as multi-region comparison grids — and executes them via
+``fig16``, ``fleet``, ``demand``, ``gating``, ``hetero`` and ``shifting``
+run through the :mod:`repro.scenarios` layer: they build declarative
+:class:`~repro.scenarios.spec.ScenarioSpec` values and execute them via
 :meth:`~repro.analysis.runner.ExperimentRunner.run_scenario` (memoized by
-spec).  Every entry registers itself with the
-:func:`~repro.scenarios.registry.experiment` decorator; the CLI and docs
-index render from that registry.
+spec).  fig16 runs N=1 single-region scenarios (behavior-identical to
+the seed path).  The five beyond-the-paper comparisons are data: each is
+a :class:`Ladder`, labelled variants of one base spec rendered through
+one table.  Every entry registers itself with the
+:func:`~repro.scenarios.registry.experiment` decorator, whose
+description is the entry's report title; the CLI and the report render
+from that registry.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,6 +64,7 @@ from repro.core.config import ClusterConfig, GpuAssignment, uniform_config
 from repro.core.evaluator import ConfigEvaluator
 from repro.core.objective import ObjectiveSpec
 from repro.core.service import PAPER_N_GPUS
+from repro.fleet.coordinator import FleetResult
 from repro.gpu.partitions import partition_by_id
 from repro.models.perf import PerfModel
 from repro.models.zoo import ModelZoo, default_zoo
@@ -102,6 +107,8 @@ __all__ = [
     "hetero_fleet",
     "temporal_shifting",
     "savings_estimate",
+    "Ladder",
+    "LadderResult",
     "EXPERIMENT_REGISTRY",
 ]
 
@@ -123,7 +130,7 @@ class Table1Result:
         return headers, self.rows_
 
 
-@experiment("table1", "Table 1: applications, datasets, architectures, variants", takes_runner=False)
+@experiment("table1", "Table 1 — applications and model variants", takes_runner=False)
 def table1(zoo: ModelZoo | None = None) -> Table1Result:
     """Table 1: the applications, datasets, architectures and variants."""
     zoo = zoo or default_zoo()
@@ -185,7 +192,7 @@ class Fig2Result:
         return headers, rows
 
 
-@experiment("fig2", "mixed-quality variant mixtures: carbon saving vs accuracy", takes_runner=False)
+@experiment("fig2", "Fig. 2 — mixed-quality mixtures (carbon vs accuracy)", takes_runner=False)
 def fig2_mixed_quality(
     application: str = "classification",
     n_gpus: int = 4,
@@ -260,7 +267,7 @@ class Fig3Result:
         return headers, rows
 
 
-@experiment("fig3", "MIG partitioning C1/C2/C3: carbon down, latency up", takes_runner=False)
+@experiment("fig3", "Fig. 3 — MIG partitioning trade-off", takes_runner=False)
 def fig3_partitioning(
     application: str = "classification",
     variant_ordinal: int | None = None,
@@ -375,7 +382,7 @@ class TraceFigureResult:
         return headers, tuple(s.row() for s in self.stats)
 
 
-@experiment("fig4", "14-day carbon-intensity variation across regions/seasons", takes_runner=False)
+@experiment("fig4", "Fig. 4 — 14-day regional carbon-intensity variation", takes_runner=False)
 def fig4_intensity_variation(days: float = 14.0, seed: int = 2021) -> TraceFigureResult:
     """Fig. 4: 14-day spans for CISO/ESO in March and September."""
     profiles = (CISO_MARCH, CISO_SEPTEMBER, ESO_MARCH, ESO_SEPTEMBER)
@@ -388,7 +395,7 @@ def fig4_intensity_variation(days: float = 14.0, seed: int = 2021) -> TraceFigur
     )
 
 
-@experiment("fig8", "the three embedded 48-hour evaluation traces", takes_runner=False)
+@experiment("fig8", "Fig. 8 — the 48-hour evaluation traces", takes_runner=False)
 def fig8_evaluation_traces() -> TraceFigureResult:
     """Fig. 8: the three embedded 48-hour evaluation traces."""
     traces = tuple(evaluation_traces().values())
@@ -415,7 +422,7 @@ class Fig6Result:
         return headers, self.rows_
 
 
-@experiment("fig6", "the worked objective-selection example", takes_runner=False)
+@experiment("fig6", "Fig. 6 — worked objective-selection example", takes_runner=False)
 def fig6_selection_example(
     lambda_weight: float = 0.1, c_base: float = 1000.0
 ) -> Fig6Result:
@@ -497,7 +504,7 @@ class Fig9Result:
         return headers, rows
 
 
-@experiment("fig9", "Clover vs BASE: accuracy / carbon / SLA latency")
+@experiment("fig9", "Fig. 9 — Clover vs BASE")
 def fig9_effectiveness(
     runner: ExperimentRunner | None = None,
     fidelity: str = "default",
@@ -565,7 +572,7 @@ class Fig10Result:
         return headers, rows
 
 
-@experiment("fig10", "scheme comparison scatter (CO2OPT/BLOVER/CLOVER/ORACLE)")
+@experiment("fig10", "Fig. 10 — scheme comparison")
 def fig10_scheme_comparison(
     runner: ExperimentRunner | None = None,
     fidelity: str = "default",
@@ -619,7 +626,7 @@ class Fig11Result:
         return headers, rows
 
 
-@experiment("fig11", "objective timelines over 48 hours")
+@experiment("fig11", "Fig. 11 — objective timelines")
 def fig11_objective_timeline(
     runner: ExperimentRunner | None = None,
     fidelity: str = "default",
@@ -667,7 +674,7 @@ class Fig12Result:
         return headers, rows
 
 
-@experiment("fig12", "optimization overhead and candidate SLA compliance")
+@experiment("fig12", "Fig. 12 — optimization overhead")
 def fig12_optimization_overhead(
     runner: ExperimentRunner | None = None,
     fidelity: str = "default",
@@ -724,7 +731,7 @@ class Fig13Result:
         return headers, rows
 
 
-@experiment("fig13", "per-invocation exploration trajectories")
+@experiment("fig13", "Fig. 13 — invocation trajectories")
 def fig13_invocation_trajectories(
     runner: ExperimentRunner | None = None,
     fidelity: str = "default",
@@ -810,7 +817,7 @@ class Fig14Result:
         return headers, rows
 
 
-@experiment("fig14", "lambda sweep and accuracy-threshold mode")
+@experiment("fig14", "Fig. 14 — lambda sweep and accuracy floors")
 def fig14_lambda_and_threshold(
     runner: ExperimentRunner | None = None,
     fidelity: str = "default",
@@ -891,7 +898,7 @@ class Fig15Result:
         return headers, rows
 
 
-@experiment("fig15", "provisioning fewer GPUs under the 10-GPU SLA")
+@experiment("fig15", "Fig. 15 — provisioning fewer GPUs")
 def fig15_reduced_gpus(
     runner: ExperimentRunner | None = None,
     fidelity: str = "default",
@@ -981,7 +988,7 @@ _FIG16_REGIONS = {
 }
 
 
-@experiment("fig16", "geographic/seasonal robustness (N=1 scenarios)")
+@experiment("fig16", "Fig. 16 — geographic/seasonal robustness")
 def fig16_geographic(
     runner: ExperimentRunner | None = None,
     fidelity: str = "default",
@@ -1039,586 +1046,6 @@ def fig16_geographic(
 
 
 # --------------------------------------------------------------------- #
-# Fleet — multi-region load shifting (beyond the paper)
-# --------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class FleetLoadShiftingResult:
-    """Routing-policy comparison on one multi-region fleet."""
-
-    application: str
-    region_names: tuple[str, ...]
-    routers: tuple[str, ...]
-    total_carbon_g: dict[str, float]
-    carbon_save_vs_static_pct: dict[str, float]
-    accuracy_loss_pct: dict[str, float]
-    sla_attainment: dict[str, float]
-    request_shares: dict[str, dict[str, float]]
-    cache_hit_rate: dict[str, float]
-
-    def table(self):
-        headers = (
-            "Router", "Carbon(g)", "SaveVsStatic%", "AccLoss%", "SLA%",
-            "CacheHit%", "Busiest region",
-        )
-        rows = []
-        for r in self.routers:
-            shares = self.request_shares[r]
-            busiest = max(shares, key=shares.get)
-            rows.append(
-                (
-                    r,
-                    f"{self.total_carbon_g[r]:,.0f}",
-                    f"{self.carbon_save_vs_static_pct[r]:.2f}",
-                    f"{self.accuracy_loss_pct[r]:.2f}",
-                    f"{100 * self.sla_attainment[r]:.1f}",
-                    f"{100 * self.cache_hit_rate[r]:.1f}",
-                    f"{busiest} ({100 * shares[busiest]:.1f}%)",
-                )
-            )
-        return headers, rows
-
-
-@experiment("fleet", "multi-region load shifting: routing-policy comparison")
-def fleet_load_shifting(
-    runner: ExperimentRunner | None = None,
-    fidelity: str = "default",
-    seed: int = 0,
-    application: str = "classification",
-    region_names: tuple[str, ...] = ("us-ciso", "uk-eso", "nordic-hydro"),
-    routers: tuple[str, ...] = ("static", "latency", "carbon-greedy"),
-    scheme: str = "clover",
-    n_gpus: int = PAPER_N_GPUS,
-    duration_h: float | None = None,
-) -> FleetLoadShiftingResult:
-    """Route one global workload across three grids, one row per policy.
-
-    The headline: carbon-greedy routing beats the static split on total
-    carbon (it shifts share toward the currently-cleanest grid) without
-    giving up global SLA attainment, because its shift is bounded by each
-    region's capacity and network-latency-aware SLA cap.
-    """
-    runner = runner or ExperimentRunner()
-    if "static" not in routers:
-        raise ValueError("the router set must include 'static' (the baseline)")
-    results = {
-        r: runner.run_scenario(
-            ScenarioSpec(
-                regions=tuple(RegionSpec(name=n) for n in region_names),
-                application=application,
-                scheme=scheme,
-                fidelity=fidelity,
-                seed=seed,
-                n_gpus=n_gpus,
-                duration_h=duration_h,
-                routing=RoutingSpec(router=r),
-            )
-        )
-        for r in routers
-    }
-    static_carbon = results["static"].total_carbon_g
-    return FleetLoadShiftingResult(
-        application=application,
-        region_names=region_names,
-        routers=routers,
-        total_carbon_g={r: res.total_carbon_g for r, res in results.items()},
-        carbon_save_vs_static_pct={
-            r: (1.0 - res.total_carbon_g / static_carbon) * 100.0
-            for r, res in results.items()
-        },
-        accuracy_loss_pct={
-            r: res.accuracy_loss_pct for r, res in results.items()
-        },
-        sla_attainment={r: res.sla_attainment for r, res in results.items()},
-        request_shares={r: res.request_shares for r, res in results.items()},
-        cache_hit_rate={
-            r: res.cache_stats.hit_rate for r, res in results.items()
-        },
-    )
-
-
-# --------------------------------------------------------------------- #
-# Demand — geo-diurnal demand + forecast-driven routing (beyond the paper)
-# --------------------------------------------------------------------- #
-
-#: Demand-experiment defaults: how fast a region may gain share (admission
-#: warm-up) and how fast resident sessions can be drained away, per hour.
-DEMAND_RAMP_SHARE_PER_H = 0.10
-DEMAND_DRAIN_SHARE_PER_H = 0.20
-DEMAND_LOOKAHEAD_H = 6.0
-
-
-@dataclass(frozen=True)
-class DemandRoutingResult:
-    """Routing-policy comparison under geo-diurnal demand.
-
-    ``user_sla_attainment`` charges the network hop per (origin,
-    serving-region) pair against the raw end-to-end target — the
-    demand-layer metric a geo-DNS operator actually answers for.
-    """
-
-    application: str
-    region_names: tuple[str, ...]
-    origin_names: tuple[str, ...]
-    routers: tuple[str, ...]
-    total_carbon_g: dict[str, float]
-    carbon_save_vs_static_pct: dict[str, float]
-    accuracy_loss_pct: dict[str, float]
-    user_sla_attainment: dict[str, float]
-    mean_net_latency_ms: dict[str, float]
-    request_shares: dict[str, dict[str, float]]
-    origin_shares: dict[str, float]
-
-    def table(self):
-        headers = (
-            "Router", "Carbon(g)", "SaveVsStatic%", "AccLoss%",
-            "UserSLA%", "Net(ms)", "Busiest region",
-        )
-        rows = []
-        for r in self.routers:
-            shares = self.request_shares[r]
-            busiest = max(shares, key=shares.get)
-            rows.append(
-                (
-                    r,
-                    f"{self.total_carbon_g[r]:,.0f}",
-                    f"{self.carbon_save_vs_static_pct[r]:.2f}",
-                    f"{self.accuracy_loss_pct[r]:.2f}",
-                    f"{100 * self.user_sla_attainment[r]:.2f}",
-                    f"{self.mean_net_latency_ms[r]:.1f}",
-                    f"{busiest} ({100 * shares[busiest]:.1f}%)",
-                )
-            )
-        return headers, rows
-
-
-@experiment("demand", "geo-diurnal demand + forecast-driven proactive routing")
-def demand_routing(
-    runner: ExperimentRunner | None = None,
-    fidelity: str = "default",
-    seed: int = 0,
-    application: str = "classification",
-    region_names: tuple[str, ...] = ("us-ciso", "uk-eso", "apac-solar"),
-    routers: tuple[str, ...] = ("static", "carbon-greedy", "forecast-aware"),
-    scheme: str = "clover",
-    n_gpus: int = 2,
-    duration_h: float = 48.0,
-    lookahead_h: float = DEMAND_LOOKAHEAD_H,
-) -> DemandRoutingResult:
-    """The geo-diurnal demand experiment: who should serve whom, and when.
-
-    The default is *small* regional clusters (2 GPUs) on purpose: the SLA
-    target is BASE's measured p95, which shrinks with cluster size, and
-    the experiment's regime needs an end-to-end budget (~90 ms here) in
-    which intercontinental hops (35-65 ms one-way-equivalent) are feasible
-    but expensive.  At the paper's 10-GPU scale the budget (~35 ms) makes
-    every cross-zone pair SLA-infeasible and the routers are pinned to
-    serving origins at home — a real effect, but not the one under study.
-
-    One nonstationary global workload — three population-weighted origins
-    whose day curves sweep the planet — is routed over three grids whose
-    solar troughs are phase-shifted by geography (the APAC trough leads
-    the fleet clock by 8 hours).  Session-drain inertia and admission
-    ramps make traffic placement a *commitment*, and the SLA is charged
-    per (origin, serving-region) network hop.
-
-    The expected shape: carbon-greedy beats the static geo-DNS split on
-    carbon while its pair-aware cell planner (unlike the pair-blind static
-    baseline) keeps user SLA attainment at or above the static baseline;
-    the forecast-aware router matches or beats carbon-greedy on carbon by
-    pre-positioning load ahead of predicted trough edges instead of
-    discovering them after the drain-speed limit makes exits expensive.
-    The forecast margin over myopic greedy is structurally modest with a
-    fixed always-on GPU fleet (idle power dominates and does not follow
-    traffic) — GPU power-gating is the ROADMAP follow-up that widens it.
-    """
-    runner = runner or ExperimentRunner()
-    if "static" not in routers:
-        raise ValueError("the router set must include 'static' (the baseline)")
-    results = {
-        r: runner.run_scenario(
-            ScenarioSpec(
-                regions=tuple(RegionSpec(name=n) for n in region_names),
-                application=application,
-                scheme=scheme,
-                fidelity=fidelity,
-                seed=seed,
-                n_gpus=n_gpus,
-                duration_h=duration_h,
-                routing=RoutingSpec(
-                    router=r,
-                    lookahead_h=(
-                        lookahead_h if r == "forecast-aware" else None
-                    ),
-                ),
-                demand=DemandSpec(
-                    kind="diurnal",
-                    ramp_share_per_h=DEMAND_RAMP_SHARE_PER_H,
-                    drain_share_per_h=DEMAND_DRAIN_SHARE_PER_H,
-                ),
-            )
-        )
-        for r in routers
-    }
-    static_carbon = results["static"].total_carbon_g
-    return DemandRoutingResult(
-        application=application,
-        region_names=region_names,
-        origin_names=results["static"].origin_names,
-        routers=routers,
-        total_carbon_g={r: res.total_carbon_g for r, res in results.items()},
-        carbon_save_vs_static_pct={
-            r: (1.0 - res.total_carbon_g / static_carbon) * 100.0
-            for r, res in results.items()
-        },
-        accuracy_loss_pct={
-            r: res.accuracy_loss_pct for r, res in results.items()
-        },
-        user_sla_attainment={
-            r: res.user_sla_attainment for r, res in results.items()
-        },
-        mean_net_latency_ms={
-            r: res.mean_net_latency_ms for r, res in results.items()
-        },
-        request_shares={r: res.request_shares for r, res in results.items()},
-        origin_shares=results["static"].origin_request_shares,
-    )
-
-
-# --------------------------------------------------------------------- #
-# Gating — elastic GPU capacity (beyond the paper)
-# --------------------------------------------------------------------- #
-
-#: The gating experiment's comparison rows: label -> (router, gating mode,
-#: lookahead).  Reactive gating pairs with the myopic carbon-greedy router
-#: (wake after the shortfall is observed); forecast-pre-wake pairs with the
-#: forecast-aware router whose lookahead window files the pre-wakes.
-GATING_ROWS: tuple[tuple[str, str, str | None, bool], ...] = (
-    ("always-on/static", "static", None, False),
-    ("always-on/greedy", "carbon-greedy", None, False),
-    ("reactive/static", "static", "reactive", False),
-    ("reactive/greedy", "carbon-greedy", "reactive", False),
-    ("reactive/forecast", "forecast-aware", "reactive", True),
-    ("prewake/forecast", "forecast-aware", "forecast", True),
-)
-
-
-@dataclass(frozen=True)
-class GatingResult:
-    """Elastic-capacity comparison under geo-diurnal demand.
-
-    Each row is one (router, gating mode) pair; the headline properties
-    compare the carbon-greedy-vs-static gap with and without gating (the
-    gap is the shiftable margin — always-on fleets only shift dynamic
-    power, gated fleets shift the idle draw too) and reactive gating
-    against forecast-driven pre-waking.
-    """
-
-    application: str
-    region_names: tuple[str, ...]
-    labels: tuple[str, ...]
-    total_carbon_g: dict[str, float]
-    total_energy_j: dict[str, float]
-    user_sla_attainment: dict[str, float]
-    accuracy_loss_pct: dict[str, float]
-    mean_awake_fraction: dict[str, float]
-
-    @property
-    def always_on_gap_pct(self) -> float:
-        """Carbon-greedy's saving over static, both always-on (PR-2's gap)."""
-        static = self.total_carbon_g["always-on/static"]
-        greedy = self.total_carbon_g["always-on/greedy"]
-        return (1.0 - greedy / static) * 100.0
-
-    @property
-    def gated_gap_pct(self) -> float:
-        """The same gap with reactive gating enabled for both policies."""
-        static = self.total_carbon_g["reactive/static"]
-        greedy = self.total_carbon_g["reactive/greedy"]
-        return (1.0 - greedy / static) * 100.0
-
-    @property
-    def gap_growth(self) -> float:
-        """How many times gating multiplies the routing gap."""
-        base = self.always_on_gap_pct
-        return self.gated_gap_pct / base if base > 0 else float("inf")
-
-    def table(self):
-        headers = (
-            "Mode/Router", "Carbon(g)", "Energy(kWh)", "AwakeGPU%",
-            "UserSLA%", "AccLoss%",
-        )
-        rows = [
-            (
-                label,
-                f"{self.total_carbon_g[label]:,.0f}",
-                f"{self.total_energy_j[label] / 3.6e6:.2f}",
-                f"{100 * self.mean_awake_fraction[label]:.1f}",
-                f"{100 * self.user_sla_attainment[label]:.2f}",
-                f"{self.accuracy_loss_pct[label]:.2f}",
-            )
-            for label in self.labels
-        ]
-        rows.append(
-            (
-                "gap on/gated",
-                f"{self.always_on_gap_pct:.2f}% vs {self.gated_gap_pct:.2f}%",
-                "-", "-", "-", "-",
-            )
-        )
-        return headers, rows
-
-
-@experiment("gating", "elastic GPU capacity: always-on vs reactive vs pre-wake")
-def gating_elasticity(
-    runner: ExperimentRunner | None = None,
-    fidelity: str = "default",
-    seed: int = 0,
-    application: str = "classification",
-    region_names: tuple[str, ...] = ("us-ciso", "uk-eso", "apac-solar"),
-    scheme: str = "clover",
-    n_gpus: int = 2,
-    duration_h: float = 48.0,
-    lookahead_h: float = DEMAND_LOOKAHEAD_H,
-) -> GatingResult:
-    """Elastic GPU capacity: always-on vs reactive vs forecast-pre-wake.
-
-    The setup is the ``demand`` experiment's (same regions, diurnal
-    demand, ramp/drain inertia, per-pair SLA charging); what varies is
-    whether idle power follows traffic.  The expected shape:
-
-    * The **static** split never drops a region low enough to gate — its
-      reactive row reproduces its always-on row.  Gating without
-      carbon-aware drain is worthless; the two levers compound.
-    * The **carbon-greedy-vs-static gap** grows several-fold under
-      gating: draining the dirty region now turns its idle draw off
-      instead of leaving it burning coal, so routing finally moves the
-      static margin, not just the dynamic one.
-    * **Reactive gating** pays for its savings in SLA: wakes happen after
-      the demand arrived, and the wake window serves at yesterday's
-      capacity.  **Forecast pre-waking** files the wake one epoch early
-      from the router's lookahead window — equal-or-lower carbon (its
-      policy can afford deeper sleeps) at reactive-free SLA.
-    """
-    runner = runner or ExperimentRunner()
-    results = {}
-    for label, router, gating, needs_lookahead in GATING_ROWS:
-        results[label] = runner.run_scenario(
-            ScenarioSpec(
-                regions=tuple(RegionSpec(name=n) for n in region_names),
-                application=application,
-                scheme=scheme,
-                fidelity=fidelity,
-                seed=seed,
-                n_gpus=n_gpus,
-                duration_h=duration_h,
-                routing=RoutingSpec(
-                    router=router,
-                    lookahead_h=(lookahead_h if needs_lookahead else None),
-                ),
-                demand=DemandSpec(
-                    kind="diurnal",
-                    ramp_share_per_h=DEMAND_RAMP_SHARE_PER_H,
-                    drain_share_per_h=DEMAND_DRAIN_SHARE_PER_H,
-                ),
-                gating=GatingSpec(mode=gating),
-            )
-        )
-    labels = tuple(label for label, *_ in GATING_ROWS)
-    return GatingResult(
-        application=application,
-        region_names=region_names,
-        labels=labels,
-        total_carbon_g={k: r.total_carbon_g for k, r in results.items()},
-        total_energy_j={k: r.total_energy_j for k, r in results.items()},
-        user_sla_attainment={
-            k: r.user_sla_attainment for k, r in results.items()
-        },
-        accuracy_loss_pct={k: r.accuracy_loss_pct for k, r in results.items()},
-        mean_awake_fraction={
-            k: r.mean_awake_fraction for k, r in results.items()
-        },
-    )
-
-
-# --------------------------------------------------------------------- #
-# Hetero — heterogeneous GPU fleets (beyond the paper)
-# --------------------------------------------------------------------- #
-
-#: The hetero experiment's default fleet: the demand/gating regions, with
-#: the dirty phase-shifted APAC grid provisioned with low-power L4
-#: inference cards while the A100 regions keep MIG.  (EcoServe-style mixed
-#: provisioning: cheap efficient silicon where the grid is worst.)
-HETERO_DEVICES: tuple[str, ...] = ("a100", "a100", "l4")
-
-#: Per-wake transition energy for gated hetero fleets.  Per-profile wake
-#: energies (``DeviceProfile.wake_energy_j``) now make an override
-#: unnecessary, but this experiment keeps its historical fleet-wide 1 kJ
-#: scalar — which fits every registered device — so its calibrated
-#: benchmark bands stay comparable across PRs.
-HETERO_WAKE_ENERGY_J = 1000.0
-
-#: Comparison rows: label -> (router, efficiency_weighted, needs lookahead).
-HETERO_ROWS: tuple[tuple[str, str, bool, bool], ...] = (
-    ("static", "static", True, False),
-    ("greedy/intensity", "carbon-greedy", False, False),
-    ("greedy/efficiency", "carbon-greedy", True, False),
-    ("forecast/efficiency", "forecast-aware", True, True),
-)
-
-
-@dataclass(frozen=True)
-class HeteroResult:
-    """Efficiency-aware vs intensity-only routing on mixed silicon.
-
-    The headline property is :attr:`efficiency_saving_pct`: how much fleet
-    carbon efficiency-aware carbon-greedy saves over the intensity-only
-    ranking on the *same* fleet — the value of pricing silicon, not just
-    grids, into the routing decision.
-    """
-
-    application: str
-    region_names: tuple[str, ...]
-    region_devices: tuple[str, ...]
-    labels: tuple[str, ...]
-    total_carbon_g: dict[str, float]
-    total_energy_j: dict[str, float]
-    user_sla_attainment: dict[str, float]
-    accuracy_loss_pct: dict[str, float]
-    mean_awake_fraction: dict[str, float]
-    request_shares: dict[str, dict[str, float]]
-
-    @property
-    def efficiency_saving_pct(self) -> float:
-        """Carbon saved by pricing silicon into the greedy ranking."""
-        intensity = self.total_carbon_g["greedy/intensity"]
-        efficiency = self.total_carbon_g["greedy/efficiency"]
-        return (1.0 - efficiency / intensity) * 100.0
-
-    def table(self):
-        headers = (
-            "Router", "Carbon(g)", "Energy(kWh)", "AwakeGPU%",
-            "UserSLA%", "AccLoss%", "Busiest region",
-        )
-        rows = []
-        for label in self.labels:
-            shares = self.request_shares[label]
-            busiest = max(shares, key=shares.get)
-            rows.append(
-                (
-                    label,
-                    f"{self.total_carbon_g[label]:,.0f}",
-                    f"{self.total_energy_j[label] / 3.6e6:.2f}",
-                    f"{100 * self.mean_awake_fraction[label]:.1f}",
-                    f"{100 * self.user_sla_attainment[label]:.2f}",
-                    f"{self.accuracy_loss_pct[label]:.2f}",
-                    f"{busiest} ({100 * shares[busiest]:.1f}%)",
-                )
-            )
-        rows.append(
-            (
-                "efficiency gain",
-                f"{self.efficiency_saving_pct:.2f}% vs intensity-only",
-                "-", "-", "-", "-", "-",
-            )
-        )
-        return headers, rows
-
-
-@experiment("hetero", "heterogeneous GPU fleets: efficiency-aware vs intensity routing")
-def hetero_fleet(
-    runner: ExperimentRunner | None = None,
-    fidelity: str = "default",
-    seed: int = 0,
-    application: str = "classification",
-    region_names: tuple[str, ...] = ("us-ciso", "uk-eso", "apac-solar"),
-    devices: tuple[str, ...] = HETERO_DEVICES,
-    scheme: str = "clover",
-    n_gpus: int = 2,
-    duration_h: float = 48.0,
-    lookahead_h: float = DEMAND_LOOKAHEAD_H,
-) -> HeteroResult:
-    """Heterogeneous silicon: route by gCO2/request, not gCO2/kWh.
-
-    The setup composes the ``demand`` and ``gating`` experiments (diurnal
-    geo-origin demand, ramp/drain inertia, per-pair SLA charging, reactive
-    power-gating) on a fleet whose regions run *different GPU
-    generations*: the APAC region — the dirtiest grid — is provisioned
-    with low-power L4 inference cards, the others with MIG-capable A100s.
-
-    Carbon per request is grid intensity *times* joules per request, and
-    the joules now differ per region: an L4 request is dynamically cheap
-    but its unpartitionable GPU amortizes static draw poorly, while a
-    MIG-partitioned A100 serving small variants is leaner than its BASE
-    spec sheet suggests.  The intensity-only ranking (the pre-PR-4
-    carbon-greedy, ``greedy/intensity``) sees none of this; the
-    efficiency-aware ranking multiplies each region's intensity by its
-    deployed configuration's marginal joules/request (static amortization
-    included once gating makes idle power follow traffic).
-
-    Expected shape: ``greedy/efficiency`` achieves strictly lower fleet
-    carbon than ``greedy/intensity`` at equal-or-better user SLA — the
-    benchmark's acceptance bar — and the forecast-aware row composes the
-    efficiency ranking with lookahead pre-positioning.
-    """
-    from repro.gpu.profiles import parse_region_devices
-
-    runner = runner or ExperimentRunner()
-    if len(devices) != len(region_names):
-        raise ValueError(
-            f"{len(devices)} device specs for {len(region_names)} regions"
-        )
-    regions = tuple(
-        RegionSpec(name=n, devices=parse_region_devices(d))
-        for n, d in zip(region_names, devices)
-    )
-    results = {}
-    for label, router, efficiency, needs_lookahead in HETERO_ROWS:
-        results[label] = runner.run_scenario(
-            ScenarioSpec(
-                regions=regions,
-                application=application,
-                scheme=scheme,
-                fidelity=fidelity,
-                seed=seed,
-                n_gpus=n_gpus,
-                duration_h=duration_h,
-                routing=RoutingSpec(
-                    router=router,
-                    lookahead_h=(lookahead_h if needs_lookahead else None),
-                    efficiency_weighted=efficiency,
-                ),
-                demand=DemandSpec(
-                    kind="diurnal",
-                    ramp_share_per_h=DEMAND_RAMP_SHARE_PER_H,
-                    drain_share_per_h=DEMAND_DRAIN_SHARE_PER_H,
-                ),
-                gating=GatingSpec(
-                    mode="reactive", wake_energy_j=HETERO_WAKE_ENERGY_J
-                ),
-            )
-        )
-    labels = tuple(label for label, *_ in HETERO_ROWS)
-    return HeteroResult(
-        application=application,
-        region_names=region_names,
-        region_devices=devices,
-        labels=labels,
-        total_carbon_g={k: r.total_carbon_g for k, r in results.items()},
-        total_energy_j={k: r.total_energy_j for k, r in results.items()},
-        user_sla_attainment={
-            k: r.user_sla_attainment for k, r in results.items()
-        },
-        accuracy_loss_pct={k: r.accuracy_loss_pct for k, r in results.items()},
-        mean_awake_fraction={
-            k: r.mean_awake_fraction for k, r in results.items()
-        },
-        request_shares={k: r.request_shares for k, r in results.items()},
-    )
-
-
-# --------------------------------------------------------------------- #
 # Sec. 5.2.1 — physical-significance estimate
 # --------------------------------------------------------------------- #
 
@@ -1647,7 +1074,7 @@ class SavingsEstimate:
         return headers, rows
 
 
-@experiment("savings", "the Sec. 5.2.1 back-of-the-envelope daily-savings estimate")
+@experiment("savings", "Sec. 5.2.1 — physical-significance estimate")
 def savings_estimate(
     runner: ExperimentRunner | None = None,
     fidelity: str = "default",
@@ -1685,204 +1112,344 @@ def savings_estimate(
 
 
 # --------------------------------------------------------------------- #
-# Shifting — temporal load shifting (beyond the paper)
+# Beyond the paper — ladders: labelled variants of one fleet
 # --------------------------------------------------------------------- #
 
-#: The shifting experiment's deferrable workload: ~16% of the default
-#: two-region fleet's nominal rate (about half its leftover capacity
-#: envelope, so deadlines stay feasible), each job a hundred-request
-#: rescoring lot due within eight hours of arriving.
-SHIFTING_JOBS_PER_H = 432.0
-SHIFTING_REQUESTS_PER_JOB = 100.0
-SHIFTING_DEADLINE_H = 8.0
+#: One table cell: ``(ladder result, row label) -> text``.
+_Cell = Callable[["LadderResult", str], str]
 
-#: Comparison rows: label -> (router, batch?, defer?, gating mode).
-#: ``spatial-only`` admits every lot the epoch it arrives (the carbon
-#: lever is *where*); ``temporal-only`` keeps the static split (the lever
-#: is *when*); ``joint`` runs both.  The gated pair is the headline
-#: interplay: ``gated no-batch`` sleeps GPUs through demand valleys,
-#: ``joint+gating`` shows batch holds keeping them awake — but *clean*.
-SHIFTING_ROWS: tuple[tuple[str, str, bool, bool, str | None], ...] = (
-    ("no-batch", "carbon-greedy", False, True, None),
-    ("spatial-only", "carbon-greedy", True, False, None),
-    ("temporal-only", "static", True, True, None),
-    ("joint", "carbon-greedy", True, True, None),
-    ("gated no-batch", "carbon-greedy", False, True, "reactive"),
-    ("joint+gating", "carbon-greedy", True, True, "reactive"),
-)
+
+def _metric(fmt: str, read: Callable[[FleetResult], float]) -> _Cell:
+    """A cell formatting one number of the row's run."""
+    return lambda result, label: fmt.format(read(result.results[label]))
+
+
+def _batch_metric(fmt: str, read: Callable[[FleetResult], float]) -> _Cell:
+    """A batch cell: ``-`` unless the row decided a batch deadline."""
+
+    def cell(result: LadderResult, label: str) -> str:
+        run = result.results[label]
+        decided = run.has_batch and np.isfinite(run.batch_deadline_attainment)
+        return fmt.format(read(run)) if decided else "-"
+
+    return cell
+
+
+def _busiest_region(result: LadderResult, label: str) -> str:
+    shares = result.results[label].request_shares
+    busiest = max(shares, key=shares.get)
+    return f"{busiest} ({100 * shares[busiest]:.1f}%)"
+
+
+_awake = _metric("{:.1f}", lambda r: 100 * r.mean_awake_fraction)
+
+#: Every column a ladder table can show, keyed by its header.  Two
+#: headers may name one metric (``AwakeGPU%``, ``Awake%``): each table
+#: keeps the header it has always printed.
+_CELLS: dict[str, _Cell] = {
+    "Carbon(g)": _metric("{:,.0f}", lambda r: r.total_carbon_g),
+    "SaveVsStatic%": lambda result, label: (
+        f"{result.saving_pct(label, 'static'):.2f}"
+    ),
+    "Energy(kWh)": _metric("{:.2f}", lambda r: r.total_energy_j / 3.6e6),
+    "AwakeGPU%": _awake,
+    "Awake%": _awake,
+    "SLA%": _metric("{:.1f}", lambda r: 100 * r.sla_attainment),
+    "UserSLA%": _metric("{:.2f}", lambda r: 100 * r.user_sla_attainment),
+    "AccLoss%": _metric("{:.2f}", lambda r: r.accuracy_loss_pct),
+    "Net(ms)": _metric("{:.1f}", lambda r: r.mean_net_latency_ms),
+    "CacheHit%": _metric("{:.1f}", lambda r: 100 * r.cache_stats.hit_rate),
+    "Busiest region": _busiest_region,
+    "BatchReq": _batch_metric("{:,.0f}", lambda r: r.batch_completed_requests),
+    "BatchOnTime%": _batch_metric(
+        "{:.1f}", lambda r: 100 * r.batch_deadline_attainment
+    ),
+    "Batch g/req": _batch_metric(
+        "{:.2e}", lambda r: r.batch_carbon_g_per_request
+    ),
+    "Shift(h)": _batch_metric("{:.2f}", lambda r: r.mean_shift_h),
+}
 
 
 @dataclass(frozen=True)
-class ShiftingResult:
-    """Spatial-only vs temporal-only vs joint shifting of batch work.
+class LadderResult:
+    """One ladder's runs, each row label mapped to its fleet result."""
 
-    The headline property is :attr:`joint_saving_vs_spatial_pct` — the
-    fleet carbon the temporal scheduler saves over admitting the *same*
-    batch workload the epoch it arrives — plus the guarantee columns:
-    batch deadline attainment and interactive SLA, neither of which joint
-    shifting may degrade.
-    """
+    ladder: Ladder
+    results: dict[str, FleetResult]
 
-    application: str
-    region_names: tuple[str, ...]
-    labels: tuple[str, ...]
-    total_carbon_g: dict[str, float]
-    sla_attainment: dict[str, float]
-    accuracy_loss_pct: dict[str, float]
-    batch_attainment: dict[str, float]
-    batch_completed: dict[str, float]
-    batch_carbon_g_per_request: dict[str, float]
-    mean_shift_h: dict[str, float]
-    mean_awake_fraction: dict[str, float]
-
-    @property
-    def joint_saving_vs_spatial_pct(self) -> float:
-        """Fleet carbon saved by shifting *when*, on top of *where*."""
-        spatial = self.total_carbon_g["spatial-only"]
-        joint = self.total_carbon_g["joint"]
-        return (1.0 - joint / spatial) * 100.0
-
-    @property
-    def min_batch_attainment(self) -> float:
-        """Worst batch deadline attainment across rows that ran batch."""
-        decided = [
-            v for v in self.batch_attainment.values() if np.isfinite(v)
-        ]
-        return min(decided) if decided else float("nan")
+    def saving_pct(self, label: str, vs: str) -> float:
+        """Fleet carbon row ``label`` saves over row ``vs``, in percent."""
+        carbon = self.results[label].total_carbon_g
+        return (1.0 - carbon / self.results[vs].total_carbon_g) * 100.0
 
     def table(self):
-        headers = (
-            "Scenario", "Carbon(g)", "SLA%", "AccLoss%",
-            "BatchReq", "BatchOnTime%", "Batch g/req", "Shift(h)", "Awake%",
-        )
-        rows = []
-        for label in self.labels:
-            batch_att = self.batch_attainment[label]
-            has_batch = np.isfinite(batch_att)
-            rows.append(
-                (
-                    label,
-                    f"{self.total_carbon_g[label]:,.0f}",
-                    f"{100 * self.sla_attainment[label]:.1f}",
-                    f"{self.accuracy_loss_pct[label]:.2f}",
-                    f"{self.batch_completed[label]:,.0f}" if has_batch else "-",
-                    f"{100 * batch_att:.1f}" if has_batch else "-",
-                    (
-                        f"{self.batch_carbon_g_per_request[label]:.2e}"
-                        if has_batch
-                        else "-"
-                    ),
-                    f"{self.mean_shift_h[label]:.2f}" if has_batch else "-",
-                    f"{100 * self.mean_awake_fraction[label]:.1f}",
-                )
-            )
-        rows.append(
-            (
-                "joint vs spatial",
-                f"{self.joint_saving_vs_spatial_pct:.2f}% saved",
-                "-", "-", "-", "-", "-", "-", "-",
-            )
-        )
+        ladder = self.ladder
+        headers = (ladder.first_header, *ladder.columns)
+        rows = [
+            (label, *(_CELLS[h](self, label) for h in ladder.columns))
+            for label in self.results
+        ]
+        if ladder.footer is not None:
+            label, template, pairs = ladder.footer
+            text = template.format(*(self.saving_pct(*p) for p in pairs))
+            rows.append((label, text, *("-",) * (len(ladder.columns) - 1)))
         return headers, rows
 
 
-@experiment("shifting", "temporal load shifting: deferrable batch into clean epochs")
-def temporal_shifting(
-    runner: ExperimentRunner | None = None,
-    fidelity: str = "default",
-    seed: int = 0,
-    application: str = "classification",
-    region_names: tuple[str, ...] = ("nordic-hydro", "us-ciso"),
-    scheme: str = "clover",
-    n_gpus: int = 2,
-    duration_h: float = 48.0,
-    jobs_per_h: float = SHIFTING_JOBS_PER_H,
-    requests_per_job: float = SHIFTING_REQUESTS_PER_JOB,
-    deadline_h: float = SHIFTING_DEADLINE_H,
-) -> ShiftingResult:
-    """Temporal load shifting: the *when* lever next to the *where* lever.
+@dataclass(frozen=True)
+class Ladder:
+    """Labelled variants of one fleet, compared side by side in one table.
 
-    One deferrable batch class rides the diurnal interactive workload on
-    a clean/dirty two-region fleet.  The expected shape:
+    Every row is ``base`` with whole :class:`ScenarioSpec` fields replaced
+    (``dataclasses.replace``, not dotted override paths, so a row can
+    swap a sub-spec outright, e.g. drop the batch class).  Called as
+    ``(runner, fidelity, seed)``, a ladder runs each row's spec through
+    :meth:`~repro.analysis.runner.ExperimentRunner.run_scenario`.
+    ``footer`` is ``(label, template, pairs)``: a last row whose one cell
+    formats :meth:`LadderResult.saving_pct` of each ``(row, vs)`` pair.
 
-    * **spatial-only** (admit on arrival) already prices batch into the
-      cleanest *region* with leftover capacity, but must take whatever
-      the grid looks like when a lot lands.
-    * **joint** holds lots back until the forecast says the window is
-      clean (or the deadline forces them), so fleet carbon drops below
-      spatial-only at the *same* 100% deadline attainment and no
-      interactive SLA loss.
-    * **gated no-batch** vs **joint+gating** is the headline interplay:
-      reactive gating sleeps GPUs through demand valleys, and the
-      scheduler's hold hints keep them awake exactly where the batch
-      backlog needs the clean window — batch work keeps the fleet awake
-      but *clean*.
+    >>> for label in gating_elasticity.rows:
+    ...     print(label)
+    always-on/static
+    always-on/greedy
+    reactive/static
+    reactive/greedy
+    reactive/forecast
+    prewake/forecast
     """
-    runner = runner or ExperimentRunner()
-    results = {}
-    for label, router, has_batch, defer, gating in SHIFTING_ROWS:
-        results[label] = runner.run_scenario(
-            ScenarioSpec(
-                regions=tuple(RegionSpec(name=n) for n in region_names),
-                application=application,
-                scheme=scheme,
-                fidelity=fidelity,
-                seed=seed,
-                n_gpus=n_gpus,
-                duration_h=duration_h,
-                routing=RoutingSpec(router=router),
-                demand=DemandSpec(
-                    kind="diurnal",
-                    ramp_share_per_h=DEMAND_RAMP_SHARE_PER_H,
-                    drain_share_per_h=DEMAND_DRAIN_SHARE_PER_H,
-                ),
-                gating=GatingSpec(mode=gating),
-                batch=(
-                    BatchSpec(
-                        jobs_per_h=jobs_per_h,
-                        requests_per_job=requests_per_job,
-                        deadline_h=deadline_h,
-                        defer=(None if defer else False),
-                    )
-                    if has_batch
-                    else BatchSpec()
-                ),
-            )
+
+    base: ScenarioSpec
+    rows: dict[str, dict[str, object]]
+    first_header: str
+    columns: tuple[str, ...]
+    footer: tuple[str, str, tuple[tuple[str, str], ...]] | None = None
+
+    def specs(self, fidelity: str, seed: int) -> tuple[ScenarioSpec, ...]:
+        """Each row's spec, in row order; nothing runs."""
+        return tuple(
+            replace(self.base, fidelity=fidelity, seed=seed, **fields)
+            for fields in self.rows.values()
         )
-    labels = tuple(label for label, *_ in SHIFTING_ROWS)
-    return ShiftingResult(
-        application=application,
-        region_names=region_names,
-        labels=labels,
-        total_carbon_g={k: r.total_carbon_g for k, r in results.items()},
-        sla_attainment={k: r.sla_attainment for k, r in results.items()},
-        accuracy_loss_pct={
-            k: r.accuracy_loss_pct for k, r in results.items()
+
+    def __call__(
+        self,
+        runner: ExperimentRunner | None = None,
+        fidelity: str = "default",
+        seed: int = 0,
+    ) -> LadderResult:
+        runner = runner or ExperimentRunner()
+        runs = map(runner.run_scenario, self.specs(fidelity, seed))
+        return LadderResult(ladder=self, results=dict(zip(self.rows, runs)))
+
+
+def _regions(*names: str) -> tuple[RegionSpec, ...]:
+    return tuple(RegionSpec(name=n) for n in names)
+
+
+_STATIC = RoutingSpec(router="static")
+_GREEDY = RoutingSpec(router="carbon-greedy")
+#: The forecast-aware router pre-positions load over a 6-hour window.
+_FORECAST = RoutingSpec(router="forecast-aware", lookahead_h=6.0)
+_REACTIVE = GatingSpec(mode="reactive")
+
+#: Geo-diurnal demand whose placement is a commitment: a region may gain
+#: 10% of the global share per hour (admission warm-up) and resident
+#: sessions drain away at 20% per hour.
+_DIURNAL = DemandSpec(
+    kind="diurnal", ramp_share_per_h=0.10, drain_share_per_h=0.20
+)
+
+#: Route one global workload across three grids, one row per policy.
+#: Carbon-greedy beats the static split on total carbon (it shifts share
+#: toward the currently-cleanest grid) without giving up global SLA
+#: attainment, because each region's capacity and network-latency-aware
+#: SLA cap bound the shift.
+fleet_load_shifting = experiment(
+    "fleet", "Beyond the paper — multi-region carbon-aware load shifting"
+)(
+    Ladder(
+        base=ScenarioSpec(
+            regions=_regions("us-ciso", "uk-eso", "nordic-hydro")
+        ),
+        rows={
+            "static": {"routing": _STATIC},
+            "latency": {"routing": RoutingSpec(router="latency")},
+            "carbon-greedy": {"routing": _GREEDY},
         },
-        batch_attainment={
-            k: (r.batch_deadline_attainment if r.has_batch else float("nan"))
-            for k, r in results.items()
-        },
-        batch_completed={
-            k: (r.batch_completed_requests if r.has_batch else float("nan"))
-            for k, r in results.items()
-        },
-        batch_carbon_g_per_request={
-            k: (r.batch_carbon_g_per_request if r.has_batch else float("nan"))
-            for k, r in results.items()
-        },
-        mean_shift_h={
-            k: (r.mean_shift_h if r.has_batch else float("nan"))
-            for k, r in results.items()
-        },
-        mean_awake_fraction={
-            k: r.mean_awake_fraction for k, r in results.items()
-        },
+        first_header="Router",
+        columns=(
+            "Carbon(g)", "SaveVsStatic%", "AccLoss%", "SLA%", "CacheHit%",
+            "Busiest region",
+        ),
     )
+)
+
+#: Who should serve whom, and when: three population-weighted origins
+#: whose day curves sweep the planet, over three grids whose solar
+#: troughs are phase-shifted, with the SLA charged per (origin,
+#: serving-region) hop.  The clusters are small (2 GPUs) on purpose: the
+#: SLA target is BASE's p95, which shrinks with cluster size, and only a
+#: ~90 ms budget makes intercontinental hops (35-65 ms) feasible but
+#: expensive.  Expected shape: carbon-greedy beats the static geo-DNS
+#: split on carbon at user SLA no worse than static's; forecast-aware
+#: matches or beats carbon-greedy by pre-positioning load ahead of
+#: predicted trough edges (a modest margin while idle power does not
+#: follow traffic; see ``gating``).
+demand_routing = experiment(
+    "demand",
+    "Beyond the paper — geo-diurnal demand and forecast-driven routing",
+)(
+    Ladder(
+        base=ScenarioSpec(
+            regions=_regions("us-ciso", "uk-eso", "apac-solar"),
+            n_gpus=2,
+            duration_h=48.0,
+            demand=_DIURNAL,
+        ),
+        rows={
+            "static": {"routing": _STATIC},
+            "carbon-greedy": {"routing": _GREEDY},
+            "forecast-aware": {"routing": _FORECAST},
+        },
+        first_header="Router",
+        columns=(
+            "Carbon(g)", "SaveVsStatic%", "AccLoss%", "UserSLA%", "Net(ms)",
+            "Busiest region",
+        ),
+    )
+)
+
+#: The ``demand`` fleet, varying whether idle power follows traffic.
+#: Forecast pre-wake pairs with the forecast-aware router, whose
+#: lookahead window files the wakes.  Expected shape: the static split
+#: never drops a region low enough to gate, so its reactive row repeats
+#: its always-on row; the carbon-greedy-vs-static gap (the footer) grows
+#: several-fold under gating, because draining the dirty region now
+#: turns its idle draw off; pre-waking one epoch early reaches
+#: equal-or-lower carbon than reactive wakes at no SLA loss.
+gating_elasticity = experiment(
+    "gating", "Beyond the paper — elastic GPU capacity (power-gating)"
+)(
+    Ladder(
+        base=demand_routing.base,
+        rows={
+            "always-on/static": {"routing": _STATIC},
+            "always-on/greedy": {"routing": _GREEDY},
+            "reactive/static": {"routing": _STATIC, "gating": _REACTIVE},
+            "reactive/greedy": {"routing": _GREEDY, "gating": _REACTIVE},
+            "reactive/forecast": {"routing": _FORECAST, "gating": _REACTIVE},
+            "prewake/forecast": {
+                "routing": _FORECAST,
+                "gating": GatingSpec(mode="forecast"),
+            },
+        },
+        first_header="Mode/Router",
+        columns=(
+            "Carbon(g)", "Energy(kWh)", "AwakeGPU%", "UserSLA%", "AccLoss%",
+        ),
+        footer=(
+            "gap on/gated",
+            "{:.2f}% vs {:.2f}%",
+            (
+                ("always-on/greedy", "always-on/static"),
+                ("reactive/greedy", "reactive/static"),
+            ),
+        ),
+    )
+)
+
+#: Route by gCO2/request, not gCO2/kWh: the ``demand`` fleet with
+#: reactive gating, where the dirtiest grid (APAC) runs low-power L4
+#: cards and the others MIG-capable A100s.  ``greedy/intensity`` ranks
+#: regions by grid intensity alone; the efficiency-aware ranking
+#: multiplies it by each region's deployed marginal joules per request.
+#: The fleet-wide 1 kJ wake energy fits every registered device and keeps
+#: the benchmark's calibrated bands comparable.  Expected shape:
+#: ``greedy/efficiency`` reaches strictly lower fleet carbon than
+#: ``greedy/intensity`` (the footer) at equal-or-better user SLA.
+hetero_fleet = experiment(
+    "hetero", "Beyond the paper — heterogeneous GPU fleets"
+)(
+    Ladder(
+        base=replace(
+            demand_routing.base,
+            regions=(
+                RegionSpec(name="us-ciso", devices="a100"),
+                RegionSpec(name="uk-eso", devices="a100"),
+                RegionSpec(name="apac-solar", devices="l4"),
+            ),
+            gating=GatingSpec(mode="reactive", wake_energy_j=1000.0),
+        ),
+        rows={
+            "static": {"routing": _STATIC},
+            "greedy/intensity": {
+                "routing": RoutingSpec(
+                    router="carbon-greedy", efficiency_weighted=False
+                )
+            },
+            "greedy/efficiency": {"routing": _GREEDY},
+            "forecast/efficiency": {"routing": _FORECAST},
+        },
+        first_header="Router",
+        columns=(
+            "Carbon(g)", "Energy(kWh)", "AwakeGPU%", "UserSLA%", "AccLoss%",
+            "Busiest region",
+        ),
+        footer=(
+            "efficiency gain",
+            "{:.2f}% vs intensity-only",
+            (("greedy/efficiency", "greedy/intensity"),),
+        ),
+    )
+)
+
+#: The deferrable workload: ~16% of the two-region fleet's nominal rate
+#: (about half its leftover capacity, so deadlines stay feasible), each
+#: job a hundred-request rescoring lot due within eight hours.
+_LOTS = BatchSpec(jobs_per_h=432.0, requests_per_job=100.0, deadline_h=8.0)
+
+#: The *when* lever next to the *where* lever, on a clean/dirty fleet:
+#: ``spatial-only`` admits each lot the epoch it arrives, ``temporal-only``
+#: keeps the static split, and ``joint`` runs both.  Expected shape:
+#: joint holds lots until the forecast says the window is clean, so fleet
+#: carbon drops below spatial-only (the footer) at the same 100% deadline
+#: attainment and no interactive SLA loss.  In the gated pair, batch
+#: holds keep GPUs awake through demand valleys, but clean.
+temporal_shifting = experiment(
+    "shifting", "Beyond the paper — temporal load shifting of batch work"
+)(
+    Ladder(
+        base=ScenarioSpec(
+            regions=_regions("nordic-hydro", "us-ciso"),
+            n_gpus=2,
+            duration_h=48.0,
+            routing=_GREEDY,
+            demand=_DIURNAL,
+            batch=_LOTS,
+        ),
+        rows={
+            "no-batch": {"batch": BatchSpec()},
+            "spatial-only": {"batch": replace(_LOTS, defer=False)},
+            "temporal-only": {"routing": _STATIC},
+            "joint": {},
+            "gated no-batch": {"batch": BatchSpec(), "gating": _REACTIVE},
+            "joint+gating": {"gating": _REACTIVE},
+        },
+        first_header="Scenario",
+        columns=(
+            "Carbon(g)", "SLA%", "AccLoss%", "BatchReq", "BatchOnTime%",
+            "Batch g/req", "Shift(h)", "Awake%",
+        ),
+        footer=(
+            "joint vs spatial", "{:.2f}% saved", (("joint", "spatial-only"),)
+        ),
+    )
+)
 
 
 #: Registry for the CLI: experiment name -> callable(runner, fidelity, seed).
-#: Populated by the ``@experiment`` decorations above (each entry is a
+#: Populated by the ``@experiment`` registrations above (each entry is a
 #: :class:`repro.scenarios.registry.Experiment`, callable with the same
 #: three arguments the historical lambdas took).
 EXPERIMENT_REGISTRY = experiment_registry()

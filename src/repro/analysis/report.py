@@ -18,26 +18,6 @@ from repro.analysis.runner import ExperimentRunner
 
 __all__ = ["generate_report"]
 
-#: Paper anchor each experiment reproduces, for the report's section headers.
-_DESCRIPTIONS = {
-    "table1": "Table 1 — applications and model variants",
-    "fig2": "Fig. 2 — mixed-quality mixtures (carbon vs accuracy)",
-    "fig3": "Fig. 3 — MIG partitioning trade-off",
-    "fig4": "Fig. 4 — 14-day regional carbon-intensity variation",
-    "fig6": "Fig. 6 — worked objective-selection example",
-    "fig8": "Fig. 8 — the 48-hour evaluation traces",
-    "fig9": "Fig. 9 — Clover vs BASE",
-    "fig10": "Fig. 10 — scheme comparison",
-    "fig11": "Fig. 11 — objective timelines",
-    "fig12": "Fig. 12 — optimization overhead",
-    "fig13": "Fig. 13 — invocation trajectories",
-    "fig14": "Fig. 14 — lambda sweep and accuracy floors",
-    "fig15": "Fig. 15 — provisioning fewer GPUs",
-    "fig16": "Fig. 16 — geographic/seasonal robustness",
-    "fleet": "Beyond the paper — multi-region carbon-aware load shifting",
-    "savings": "Sec. 5.2.1 — physical-significance estimate",
-}
-
 
 def generate_report(
     fidelity: str = "default",
@@ -77,7 +57,7 @@ def generate_report(
         result = EXPERIMENT_REGISTRY[name](runner, fidelity, seed)
         dt = time.perf_counter() - t0
         total_s += dt
-        lines.append(f"## {_DESCRIPTIONS.get(name, name)}")
+        lines.append(f"## {EXPERIMENT_REGISTRY[name].description}")
         lines.append("")
         lines.append(f"_experiment `{name}`, {dt:.1f}s_")
         lines.append("")

@@ -152,15 +152,6 @@ class ConfigGraph:
         """Copies of each variant (row sums), len ``num_variants``."""
         return self.weights.sum(axis=1)
 
-    def respects_memory(self, memory_mask: np.ndarray) -> bool:
-        """No weight on an edge the zoo's OOM rule disables."""
-        if memory_mask.shape != self.weights.shape:
-            raise ValueError(
-                f"memory mask shape {memory_mask.shape} does not match "
-                f"weights {self.weights.shape}"
-            )
-        return not np.any(self.weights[~memory_mask])
-
     def key(self) -> bytes:
         """Stable hashable key for evaluator caching (computed once)."""
         return self._key

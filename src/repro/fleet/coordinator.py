@@ -59,7 +59,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.carbon.forecast import make_forecaster
 from repro.core.controller import EpochCapacity, RunResult
 from repro.core.evaluator import CacheStats
 from repro.fleet.regional import RegionalService
@@ -746,6 +745,8 @@ class FleetCoordinator:
         # declare they consult forecasts (everything else skips the cost).
         self._forecasters = None
         if getattr(self.router, "needs_forecast", False):
+            from repro.carbon.forecast import make_forecaster
+
             self._forecasters = [
                 make_forecaster(forecaster, s.region.trace)
                 for s in self.services
@@ -815,6 +816,7 @@ class FleetCoordinator:
         self._batch_scheduler = None
         self._batch_forecasters = None
         if batch is not None:
+            from repro.carbon.forecast import make_forecaster
             from repro.shifting import TemporalScheduler
 
             self._batch_scheduler = TemporalScheduler(

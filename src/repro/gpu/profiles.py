@@ -141,10 +141,6 @@ class DeviceProfile:
             throughput_scale=base.throughput_scale * self.throughput_scale,
         )
 
-    def supports_partition(self, partition_id: int) -> bool:
-        """Whether the device can realize MIG partition ``partition_id``."""
-        return 1 <= partition_id <= self.partition_granularity
-
     def reference_energy_per_request_j(
         self, base, variant, utilization: float = _RANK_UTILIZATION
     ) -> float:
@@ -298,10 +294,6 @@ class DevicePool:
     def names(self) -> tuple[str, ...]:
         """Profile names in canonical order (doubles as the cache key)."""
         return tuple(p.name for p in self.profiles)
-
-    @property
-    def is_uniform(self) -> bool:
-        return len(set(self.names)) == 1
 
     @property
     def is_default_a100(self) -> bool:

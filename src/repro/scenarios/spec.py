@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-from repro.carbon.forecast import FORECASTER_NAMES
 from repro.core.schemes import SCHEME_NAMES
 from repro.core.service import PAPER_LAMBDA, PAPER_N_GPUS
 from repro.fleet.coordinator import DEFAULT_DEMAND_SCALE
@@ -177,7 +176,12 @@ class RoutingSpec:
 
     def __post_init__(self) -> None:
         _choice("router", self.router, ROUTER_NAMES)
-        _choice("forecaster", self.forecaster, FORECASTER_NAMES)
+        # The default name is valid; checking it would load the forecast
+        # module for a fleet that never forecasts.
+        if self.forecaster != RoutingSpec.forecaster:
+            from repro.carbon.forecast import FORECASTER_NAMES
+
+            _choice("forecaster", self.forecaster, FORECASTER_NAMES)
         if self.lookahead_h is not None and self.lookahead_h < 0.0:
             raise ValueError(
                 f"lookahead must be non-negative, got {self.lookahead_h}"

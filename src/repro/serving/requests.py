@@ -39,10 +39,6 @@ class RequestBatch:
         return int(self.arrival_s.shape[0])
 
     @property
-    def wait_s(self) -> np.ndarray:
-        return self.start_s - self.arrival_s
-
-    @property
     def service_s(self) -> np.ndarray:
         return self.finish_s - self.start_s
 

@@ -42,23 +42,6 @@ class PoissonWorkload:
         if self.rate_per_s <= 0:
             raise ValueError(f"arrival rate must be positive, got {self.rate_per_s}")
 
-    def arrivals(
-        self, duration_s: float, rng: int | np.random.Generator | None = None
-    ) -> np.ndarray:
-        """Sample the arrival times within ``[0, duration_s)``, sorted.
-
-        Vectorized: draws the Poisson count for the window, then places the
-        arrivals uniformly (the standard conditional construction of a
-        homogeneous Poisson process).
-        """
-        if duration_s < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_s}")
-        gen = as_generator(rng)
-        n = int(gen.poisson(self.rate_per_s * duration_s))
-        times = gen.uniform(0.0, duration_s, size=n)
-        times.sort()
-        return times
-
     def arrivals_fixed_count(
         self, n: int, rng: int | np.random.Generator | None = None
     ) -> np.ndarray:
@@ -72,10 +55,6 @@ class PoissonWorkload:
         gen = as_generator(rng)
         gaps = gen.exponential(1.0 / self.rate_per_s, size=n)
         return np.cumsum(gaps)
-
-    def expected_requests(self, duration_s: float) -> float:
-        """Mean number of arrivals in a window of ``duration_s`` seconds."""
-        return self.rate_per_s * duration_s
 
 
 def default_rate(

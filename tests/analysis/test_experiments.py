@@ -1,18 +1,25 @@
 """The cheap experiments, checked against the paper's claims exactly;
 the trace-driven ones run under smoke fidelity in the integration tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.analysis.experiments import (
+    _CELLS,
     demand_routing,
     fig2_mixed_quality,
     fig3_partitioning,
     fig4_intensity_variation,
     fig6_selection_example,
     fig8_evaluation_traces,
+    fleet_load_shifting,
+    gating_elasticity,
+    hetero_fleet,
     savings_estimate,
     table1,
+    temporal_shifting,
 )
 
 
@@ -131,36 +138,89 @@ class TestFig6:
 
 
 class TestDemandRouting:
-    """A short smoke-sized run of the demand experiment; the full 48 h
+    """A short smoke-sized run of the demand ladder; the full 48 h
     acceptance ordering is pinned in tests/fleet/test_demand_fleet.py and
     benchmarks/bench_demand_routing.py."""
 
     @pytest.fixture(scope="class")
     def result(self):
-        return demand_routing(
-            fidelity="smoke", seed=0, n_gpus=2, duration_h=24.0
+        ladder = replace(
+            demand_routing,
+            base=replace(demand_routing.base, duration_h=24.0),
         )
+        return ladder(fidelity="smoke", seed=0)
 
     def test_static_is_the_zero_of_the_save_column(self, result):
-        assert result.carbon_save_vs_static_pct["static"] == pytest.approx(0.0)
+        headers, rows = result.table()
+        save = headers.index("SaveVsStatic%")
+        assert rows[0][0] == "static"
+        assert rows[0][save] == "0.00"
 
     def test_carbon_routers_save_vs_static(self, result):
-        assert result.carbon_save_vs_static_pct["carbon-greedy"] > 0.0
-        assert result.carbon_save_vs_static_pct["forecast-aware"] > 0.0
+        assert result.saving_pct("carbon-greedy", "static") > 0.0
+        assert result.saving_pct("forecast-aware", "static") > 0.0
 
     def test_origin_shares_cover_the_world(self, result):
-        assert set(result.origin_names) == set(result.origin_shares)
-        assert sum(result.origin_shares.values()) == pytest.approx(1.0)
+        static = result.results["static"]
+        assert set(static.origin_names) == set(static.origin_request_shares)
+        assert sum(static.origin_request_shares.values()) == pytest.approx(1.0)
 
     def test_table_renders_one_row_per_router(self, result):
         headers, rows = result.table()
-        assert len(rows) == len(result.routers)
+        assert len(rows) == len(result.results)
         assert "UserSLA%" in headers
         assert len(headers) == len(rows[0])
 
-    def test_static_router_required(self):
-        with pytest.raises(ValueError, match="static"):
-            demand_routing(
-                fidelity="smoke", n_gpus=2, duration_h=24.0,
-                routers=("carbon-greedy",),
+
+class TestLadder:
+    """The one table every fleet ladder renders through."""
+
+    @pytest.mark.parametrize(
+        "ladder",
+        [
+            fleet_load_shifting,
+            demand_routing,
+            gating_elasticity,
+            hetero_fleet,
+            temporal_shifting,
+        ],
+        ids=["fleet", "demand", "gating", "hetero", "shifting"],
+    )
+    def test_every_column_and_footer_row_exists(self, ladder):
+        assert set(ladder.columns) <= set(_CELLS)
+        if ladder.footer is not None:
+            _, _, pairs = ladder.footer
+            assert {label for pair in pairs for label in pair} <= set(
+                ladder.rows
             )
+
+    @pytest.fixture(scope="class")
+    def shifting(self):
+        ladder = replace(
+            temporal_shifting,
+            base=replace(temporal_shifting.base, duration_h=12.0),
+            rows={
+                k: temporal_shifting.rows[k]
+                for k in ("no-batch", "spatial-only", "joint")
+            },
+        )
+        return ladder(fidelity="smoke", seed=0)
+
+    def test_batch_cells_are_dashes_only_without_batch(self, shifting):
+        headers, rows = shifting.table()
+        batch = [
+            headers.index(h)
+            for h in ("BatchReq", "BatchOnTime%", "Batch g/req", "Shift(h)")
+        ]
+        by_label = {row[0]: row for row in rows}
+        assert [by_label["no-batch"][i] for i in batch] == ["-"] * 4
+        assert "-" not in [by_label["joint"][i] for i in batch]
+
+    def test_footer_formats_the_saving_of_its_pair(self, shifting):
+        headers, rows = shifting.table()
+        saving = shifting.saving_pct("joint", "spatial-only")
+        assert rows[-1] == (
+            "joint vs spatial",
+            f"{saving:.2f}% saved",
+            *["-"] * (len(headers) - 2),
+        )

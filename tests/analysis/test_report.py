@@ -26,6 +26,13 @@ class TestGenerateReport:
         assert text.count("```") % 2 == 0
         assert text.count("## ") == 1
 
+    def test_section_titles_are_the_registry_descriptions(self):
+        from repro.analysis.experiments import EXPERIMENT_REGISTRY
+
+        text = generate_report(fidelity="smoke", experiments=("table1",))
+        assert "\n## Table 1 — applications and model variants\n" in text
+        assert all(e.description for e in EXPERIMENT_REGISTRY.values())
+
     def test_no_write_without_path(self, tmp_path):
         before = set(tmp_path.iterdir())
         generate_report(fidelity="smoke", experiments=("table1",))

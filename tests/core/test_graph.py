@@ -170,16 +170,6 @@ class TestViews:
         assert g.variant_counts().tolist() == [2, 0, 0, 1]
         assert g.total_instances == 3
 
-    def test_respects_memory(self, zoo):
-        mask = zoo.memory_mask("albert")
-        w = np.zeros((4, 5), dtype=np.int64)
-        w[3, 0] = 1  # xxlarge on 1g: disabled edge
-        g = ConfigGraph(family="albert", weights=w)
-        assert not g.respects_memory(mask)
-        w2 = np.zeros((4, 5), dtype=np.int64)
-        w2[3, 1] = 1  # xxlarge on 2g: fine
-        assert ConfigGraph(family="albert", weights=w2).respects_memory(mask)
-
     def test_key_distinguishes_graphs(self):
         w1 = np.zeros((4, 5), dtype=np.int64)
         w2 = w1.copy()

@@ -111,9 +111,7 @@ class TestDevicePool:
 
     def test_uniform_and_default_detection(self):
         assert DevicePool.uniform("a100", 3).is_default_a100
-        assert DevicePool.uniform("l4", 2).is_uniform
         assert not DevicePool.uniform("l4", 2).is_default_a100
-        assert not DevicePool.of(("a100", "l4")).is_uniform
 
     def test_granularity_is_the_pool_minimum(self):
         assert DevicePool.uniform("a100", 2).partition_granularity == NUM_PARTITIONS

@@ -8,8 +8,9 @@ Two layers of protection against drift:
   needs a recorded golden before it can land; a golden whose file is gone
   fails too.
 * **Spec mapping** — the fleet experiment entries must build exactly the
-  literal ``ScenarioSpec`` values below, so a registry entry can never
-  silently change what it runs.
+  literal ``ScenarioSpec`` values below (the ladders are read through
+  ``Ladder.specs``, with no run), so a registry entry can never silently
+  change what it runs.
 """
 
 from pathlib import Path
@@ -18,6 +19,7 @@ import pytest
 
 from repro.analysis.runner import ExperimentRunner
 from repro.scenarios import (
+    BatchSpec,
     DemandSpec,
     GatingSpec,
     RegionSpec,
@@ -150,7 +152,7 @@ class RecordingRunner(ExperimentRunner):
         return super().run_scenario(spec)
 
 
-#: The demand/gating/hetero experiments' shared workload.
+#: The demand/gating/hetero/shifting experiments' shared workload.
 DIURNAL = DemandSpec(
     kind="diurnal", ramp_share_per_h=0.10, drain_share_per_h=0.20
 )
@@ -187,15 +189,6 @@ class TestExperimentsBuildTheShimSpecs:
     def test_fleet(self):
         from repro.analysis.experiments import fleet_load_shifting
 
-        runner = RecordingRunner()
-        fleet_load_shifting(
-            runner,
-            fidelity="smoke",
-            seed=0,
-            n_gpus=2,
-            duration_h=3.0,
-            routers=("static", "carbon-greedy"),
-        )
         expected = [
             ScenarioSpec(
                 regions=(
@@ -204,26 +197,15 @@ class TestExperimentsBuildTheShimSpecs:
                     RegionSpec(name="nordic-hydro"),
                 ),
                 fidelity="smoke",
-                n_gpus=2,
-                duration_h=3.0,
                 routing=RoutingSpec(router=r),
             )
-            for r in ("static", "carbon-greedy")
+            for r in ("static", "latency", "carbon-greedy")
         ]
-        assert runner.specs == expected
+        assert list(fleet_load_shifting.specs("smoke", 0)) == expected
 
     def test_demand(self):
         from repro.analysis.experiments import demand_routing
 
-        runner = RecordingRunner()
-        demand_routing(
-            runner,
-            fidelity="smoke",
-            seed=0,
-            n_gpus=2,
-            duration_h=3.0,
-            routers=("static", "forecast-aware"),
-        )
         regions = (
             RegionSpec(name="us-ciso"),
             RegionSpec(name="uk-eso"),
@@ -234,28 +216,21 @@ class TestExperimentsBuildTheShimSpecs:
                 regions=regions,
                 fidelity="smoke",
                 n_gpus=2,
-                duration_h=3.0,
-                routing=RoutingSpec(router="static"),
+                duration_h=48.0,
+                routing=routing,
                 demand=DIURNAL,
-            ),
-            ScenarioSpec(
-                regions=regions,
-                fidelity="smoke",
-                n_gpus=2,
-                duration_h=3.0,
-                routing=RoutingSpec(router="forecast-aware", lookahead_h=6.0),
-                demand=DIURNAL,
-            ),
+            )
+            for routing in (
+                RoutingSpec(router="static"),
+                RoutingSpec(router="carbon-greedy"),
+                RoutingSpec(router="forecast-aware", lookahead_h=6.0),
+            )
         ]
-        assert runner.specs == expected
+        assert list(demand_routing.specs("smoke", 0)) == expected
 
     def test_gating(self):
         from repro.analysis.experiments import gating_elasticity
 
-        runner = RecordingRunner()
-        gating_elasticity(
-            runner, fidelity="smoke", seed=0, n_gpus=2, duration_h=3.0
-        )
         regions = (
             RegionSpec(name="us-ciso"),
             RegionSpec(name="uk-eso"),
@@ -274,22 +249,18 @@ class TestExperimentsBuildTheShimSpecs:
                 regions=regions,
                 fidelity="smoke",
                 n_gpus=2,
-                duration_h=3.0,
+                duration_h=48.0,
                 routing=RoutingSpec(router=router, lookahead_h=lookahead_h),
                 demand=DIURNAL,
                 gating=GatingSpec(mode=mode),
             )
             for router, lookahead_h, mode in rows
         ]
-        assert runner.specs == expected
+        assert list(gating_elasticity.specs("smoke", 0)) == expected
 
     def test_hetero(self):
         from repro.analysis.experiments import hetero_fleet
 
-        runner = RecordingRunner()
-        hetero_fleet(
-            runner, fidelity="smoke", seed=0, n_gpus=2, duration_h=3.0
-        )
         rows = (
             ("static", True, None),
             ("carbon-greedy", False, None),
@@ -305,7 +276,7 @@ class TestExperimentsBuildTheShimSpecs:
                 ),
                 fidelity="smoke",
                 n_gpus=2,
-                duration_h=3.0,
+                duration_h=48.0,
                 routing=RoutingSpec(
                     router=router,
                     lookahead_h=lookahead_h,
@@ -316,7 +287,67 @@ class TestExperimentsBuildTheShimSpecs:
             )
             for router, efficiency, lookahead_h in rows
         ]
-        assert runner.specs == expected
+        assert list(hetero_fleet.specs("smoke", 0)) == expected
+
+    def test_shifting(self):
+        from repro.analysis.experiments import temporal_shifting
+
+        lots = BatchSpec(
+            jobs_per_h=432.0, requests_per_job=100.0, deadline_h=8.0
+        )
+        rows = (
+            ("carbon-greedy", BatchSpec(), None),
+            (
+                "carbon-greedy",
+                BatchSpec(
+                    jobs_per_h=432.0,
+                    requests_per_job=100.0,
+                    deadline_h=8.0,
+                    defer=False,
+                ),
+                None,
+            ),
+            ("static", lots, None),
+            ("carbon-greedy", lots, None),
+            ("carbon-greedy", BatchSpec(), "reactive"),
+            ("carbon-greedy", lots, "reactive"),
+        )
+        expected = [
+            ScenarioSpec(
+                regions=(
+                    RegionSpec(name="nordic-hydro"),
+                    RegionSpec(name="us-ciso"),
+                ),
+                fidelity="smoke",
+                seed=7,
+                n_gpus=2,
+                duration_h=48.0,
+                routing=RoutingSpec(router=router),
+                demand=DIURNAL,
+                gating=GatingSpec(mode=mode),
+                batch=batch,
+            )
+            for router, batch, mode in rows
+        ]
+        assert list(temporal_shifting.specs("smoke", 7)) == expected
+
+    def test_a_ladder_runs_its_specs_in_row_order(self):
+        from dataclasses import replace
+
+        from repro.analysis.experiments import fleet_load_shifting
+
+        ladder = replace(
+            fleet_load_shifting,
+            base=replace(fleet_load_shifting.base, n_gpus=2, duration_h=3.0),
+            rows={
+                k: fleet_load_shifting.rows[k]
+                for k in ("carbon-greedy", "static")
+            },
+        )
+        runner = RecordingRunner()
+        result = ladder(runner, "smoke", 0)
+        assert runner.specs == list(ladder.specs("smoke", 0))
+        assert list(result.results) == ["carbon-greedy", "static"]
 
 
 class TestMixedSchemeScenario:

@@ -104,6 +104,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="valid: .*diurnal"):
             RoutingSpec(forecaster="diurnall")
 
+    def test_default_forecaster_is_a_valid_name(self):
+        """The default skips the name check, which would load the
+        forecast module for fleets that never forecast."""
+        from repro.carbon.forecast import FORECASTER_NAMES
+
+        assert RoutingSpec.forecaster in FORECASTER_NAMES
+
     def test_duplicate_regions_rejected(self):
         with pytest.raises(ValueError, match="duplicate region"):
             ScenarioSpec(

@@ -20,7 +20,7 @@ class TestRequestBatch:
     def test_len_and_vector_views(self):
         b = make_batch(4)
         assert len(b) == 4
-        assert np.allclose(b.wait_s, 0.5)
+        assert np.allclose(b.start_s - b.arrival_s, 0.5)
         assert np.allclose(b.service_s, 1.0)
         assert np.allclose(b.latency_s, 1.5)
         assert np.allclose(b.latency_ms, 1500.0)

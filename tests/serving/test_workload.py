@@ -8,21 +8,6 @@ from repro.serving.workload import PoissonWorkload, default_rate
 
 
 class TestPoissonWorkload:
-    def test_arrivals_sorted_within_window(self, rng):
-        wl = PoissonWorkload(rate_per_s=100.0)
-        arr = wl.arrivals(10.0, rng)
-        assert np.all(np.diff(arr) >= 0)
-        assert arr.size == 0 or (arr[0] >= 0 and arr[-1] < 10.0)
-
-    def test_mean_count_matches_rate(self):
-        wl = PoissonWorkload(rate_per_s=50.0)
-        counts = [wl.arrivals(10.0, seed).size for seed in range(30)]
-        assert np.mean(counts) == pytest.approx(500.0, rel=0.1)
-
-    def test_reproducible_with_seed(self):
-        wl = PoissonWorkload(rate_per_s=20.0)
-        assert np.array_equal(wl.arrivals(5.0, 7), wl.arrivals(5.0, 7))
-
     def test_fixed_count_has_exact_size(self, rng):
         wl = PoissonWorkload(rate_per_s=10.0)
         arr = wl.arrivals_fixed_count(123, rng)
@@ -35,19 +20,9 @@ class TestPoissonWorkload:
         gaps = np.diff(arr)
         assert gaps.mean() == pytest.approx(1.0 / 100.0, rel=0.05)
 
-    def test_expected_requests(self):
-        assert PoissonWorkload(40.0).expected_requests(60.0) == 2400.0
-
-    def test_zero_duration_is_empty(self, rng):
-        assert PoissonWorkload(10.0).arrivals(0.0, rng).size == 0
-
     def test_invalid_rate_raises(self):
         with pytest.raises(ValueError):
             PoissonWorkload(0.0)
-
-    def test_negative_duration_raises(self, rng):
-        with pytest.raises(ValueError):
-            PoissonWorkload(1.0).arrivals(-1.0, rng)
 
 
 class TestDefaultRate:

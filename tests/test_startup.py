@@ -21,9 +21,10 @@ SCENARIOS = REPO_ROOT / "examples" / "scenarios"
 
 #: Modules a constant-demand, ungated, batch-free fleet on implicit
 #: A100s never runs: the demand, shifting and gating layers, the
-#: device-pool feasibility bridge and its histogram decomposition, and
-#: the sweep and experiment-registry modules.
+#: forecasters, the device-pool feasibility bridge and its histogram
+#: decomposition, and the sweep and experiment-registry modules.
 SWITCHED_OFF = (
+    "repro.carbon.forecast",
     "repro.demand",
     "repro.demand.diurnal",
     "repro.demand.matrix",
