@@ -35,8 +35,8 @@ def test_fig10_scheme_comparison(benchmark, runner):
         assert gain["clover"] >= gain["co2opt"]
         # CLOVER is the closest scheme to ORACLE in the 2-D plane — except
         # for detection, where the Eq. 3 optimum sits at the CO2OPT corner
-        # under our energy calibration, making CO2OPT trivially closest
-        # (see EXPERIMENTS.md).
+        # under our energy calibration (lambda=0.5 is carbon-dominated
+        # there), making CO2OPT trivially closest.
         if app == "detection":
             assert result.closest_to_oracle(app) in ("clover", "co2opt")
         else:

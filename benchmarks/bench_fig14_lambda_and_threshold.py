@@ -32,9 +32,10 @@ def test_fig14_lambda_and_threshold(benchmark, runner):
 
     # (b) the floor is honoured (within measurement noise) and carbon
     # savings grow as the floor loosens.  The paper reports 60-75% savings
-    # already at 0.2-0.8% floors; under our energy calibration those tight
-    # floors leave less headroom (see EXPERIMENTS.md) — the monotone shape
-    # and the 3.2% floor's ~70% savings reproduce.
+    # already at 0.2-0.8% floors; under our energy calibration the
+    # carbon-saving variants cost more accuracy, so those tight floors
+    # leave less headroom — the monotone shape and the 3.2% floor's ~70%
+    # savings reproduce.
     for floor in result.floors:
         assert result.floor_accuracy_loss_pct[floor] <= floor + 0.3
     f_saves = [result.floor_carbon_save_pct[f] for f in result.floors]

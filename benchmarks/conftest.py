@@ -1,10 +1,10 @@
 """Shared fixtures for the paper-reproduction benchmarks.
 
 Each ``bench_figXX`` module regenerates one table/figure of the paper at
-``default`` fidelity, prints the measured rows (compare against
-EXPERIMENTS.md) and asserts the paper's qualitative shape.  The
-session-scoped :class:`ExperimentRunner` memoizes the underlying runs, so
-figures that share the CISO-March scheme matrix (Figs. 9-13) pay for it
+``default`` fidelity, prints the measured rows and asserts the paper's
+qualitative shape.  One :class:`ExperimentRunner`, shared by every module,
+memoizes every run by its scenario spec, so figures that read the same N=1
+CISO-March runs (Figs. 9-14, 16 and the savings estimate) pay for each
 once.
 
 Run with::

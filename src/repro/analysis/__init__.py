@@ -1,6 +1,6 @@
 """Experiment harness: reproduce every table and figure of the paper.
 
-* :mod:`repro.analysis.runner` — memoized scheme x application x trace runs,
+* :mod:`repro.analysis.runner` — the one memoized run path (scenario specs),
 * :mod:`repro.analysis.experiments` — one entry point per table/figure,
 * :mod:`repro.analysis.reporting` — ASCII tables and series sketches,
 * :mod:`repro.analysis.ablations` — design-choice ablations beyond the paper.
@@ -9,7 +9,7 @@
 from repro.utils.lazy import lazy_exports
 
 __all__ = lazy_exports(__name__, {
-    "runner": ("RunSpec", "ExperimentRunner", "APPLICATIONS_UNDER_TEST"),
+    "runner": ("ExperimentRunner", "APPLICATIONS_UNDER_TEST"),
     "reporting": ("format_table", "format_series", "render"),
     "export": ("table_to_csv", "table_to_json", "run_result_to_dict", "write_json"),
     "report": ("generate_report",),

@@ -3,43 +3,22 @@
 Every entry returns a small result object whose ``table()`` method
 yields ``(headers, rows)`` for ASCII rendering (see
 :mod:`repro.analysis.reporting`); the paper-figure results also carry
-their raw series as fields for tests and benchmarks.  The mapping to the
-paper:
+their raw series as fields for tests and benchmarks.  Every entry
+registers itself with the :func:`~repro.scenarios.registry.experiment`
+decorator, whose description is the entry's report title; the CLI and
+the report render from that registry (``clover-repro list`` prints it).
 
-==========  ===========================================================
-table1      the three applications and their model variants
-fig2        mixed-quality mixtures: carbon reduction vs accuracy
-fig3        MIG partitioning C1/C2/C3: carbon down, latency up
-fig4        14-day carbon-intensity variation across regions/seasons
-fig6        the worked objective-selection example
-fig8        the three 48-hour evaluation traces
-fig9        Clover vs BASE: accuracy / carbon / SLA latency
-fig10       scheme comparison scatter (CO2OPT/BLOVER/CLOVER/ORACLE)
-fig11       objective timelines over 48 hours
-fig12       optimization overhead and candidate SLA compliance
-fig13       per-invocation exploration trajectories
-fig14       lambda sweep and accuracy-threshold mode
-fig15       provisioning fewer GPUs under the 10-GPU SLA
-fig16       geographic/seasonal robustness
-savings     the back-of-the-envelope daily savings estimate (Sec. 5.2.1)
-fleet       multi-region load shifting (beyond the paper: Sec. 6 futures)
-demand      geo-diurnal demand + forecast-driven proactive routing
-gating      elastic GPU capacity: always-on vs reactive vs forecast-pre-wake
-hetero      heterogeneous GPU fleets: efficiency-aware vs intensity routing
-shifting    temporal load shifting: deferrable batch into clean epochs
-==========  ===========================================================
-
-``fig16``, ``fleet``, ``demand``, ``gating``, ``hetero`` and ``shifting``
-run through the :mod:`repro.scenarios` layer: they build declarative
-:class:`~repro.scenarios.spec.ScenarioSpec` values and execute them via
-:meth:`~repro.analysis.runner.ExperimentRunner.run_scenario` (memoized by
-spec).  fig16 runs N=1 single-region scenarios (behavior-identical to
-the seed path).  The five beyond-the-paper comparisons are data: each is
-a :class:`Ladder`, labelled variants of one base spec rendered through
-one table.  Every entry registers itself with the
-:func:`~repro.scenarios.registry.experiment` decorator, whose
-description is the entry's report title; the CLI and the report render
-from that registry.
+Every run the harness memoizes is a
+:class:`~repro.scenarios.spec.ScenarioSpec` executed through
+:meth:`~repro.analysis.runner.ExperimentRunner.run_scenario`.  The paper
+figures (fig9-fig16 and the savings estimate) run N=1 scenarios: one
+region, the static router and no network, which is the single-cluster
+service bit for bit.  Runs no spec can name (fig14's near-constant
+trace and accuracy floors, fig15's fewer-GPU runs under the pinned
+10-GPU baseline) call
+:class:`~repro.core.service.CarbonAwareInferenceService` directly.  The
+five beyond-the-paper comparisons are data: each is a :class:`Ladder`,
+labelled variants of one base spec rendered through one table.
 """
 
 from __future__ import annotations
@@ -59,11 +38,18 @@ from repro.carbon.generator import (
     generate_trace,
 )
 from repro.carbon.intensity import CarbonIntensityTrace
-from repro.carbon.traces import evaluation_traces
+from repro.carbon.traces import ciso_march_48h, evaluation_traces
 from repro.core.config import ClusterConfig, GpuAssignment, uniform_config
+from repro.core.controller import RunResult
 from repro.core.evaluator import ConfigEvaluator
 from repro.core.objective import ObjectiveSpec
-from repro.core.service import PAPER_N_GPUS
+from repro.core.service import (
+    PAPER_N_GPUS,
+    Baseline,
+    CarbonAwareInferenceService,
+    FidelityProfile,
+    derive_baseline,
+)
 from repro.fleet.coordinator import FleetResult
 from repro.gpu.partitions import partition_by_id
 from repro.models.perf import PerfModel
@@ -80,11 +66,7 @@ from repro.scenarios import (
     experiment,
     experiment_registry,
 )
-from repro.analysis.runner import (
-    APPLICATIONS_UNDER_TEST,
-    ExperimentRunner,
-    RunSpec,
-)
+from repro.analysis.runner import APPLICATIONS_UNDER_TEST, ExperimentRunner
 
 __all__ = [
     "table1",
@@ -463,6 +445,41 @@ def fig6_selection_example(
 
 
 # --------------------------------------------------------------------- #
+# The paper's evaluation runs: N=1 scenarios
+# --------------------------------------------------------------------- #
+
+
+def _paper_run(
+    runner: ExperimentRunner,
+    application: str,
+    scheme: str,
+    fidelity: str,
+    seed: int,
+    region: str = "us-ciso",
+    duration_h: float | None = None,
+) -> RunResult:
+    """One single-cluster evaluation run, memoized by ``runner``.
+
+    The run is an N=1 scenario: one registry region, no network and the
+    static router, which hands the region its nominal rate every epoch.
+    That is the single-cluster service bit for bit (``us-ciso`` embeds
+    the CISO-March trace at the paper's PUE 1.5), and equal runs of
+    different figures share one memo entry.
+    """
+    spec = ScenarioSpec(
+        regions=(RegionSpec(name=region),),
+        application=application,
+        scheme=scheme,
+        fidelity=fidelity,
+        seed=seed,
+        duration_h=duration_h,
+        net_latency_ms=0.0,  # the paper has no network
+        routing=RoutingSpec(router="static"),
+    )
+    return runner.run_scenario(spec).results[0]
+
+
+# --------------------------------------------------------------------- #
 # Fig. 9 — Clover vs BASE
 # --------------------------------------------------------------------- #
 
@@ -513,12 +530,11 @@ def fig9_effectiveness(
 ) -> Fig9Result:
     """Fig. 9: Clover vs BASE over 48 h of US CISO March."""
     runner = runner or ExperimentRunner()
-    matrix = runner.run_matrix(
-        ("base", "clover"), applications, fidelity=fidelity, seed=seed
-    )
     acc, carbon, sla = {}, {}, {}
     for app in applications:
-        base, clover = matrix[(app, "base")], matrix[(app, "clover")]
+        base, clover = (
+            _paper_run(runner, app, s, fidelity, seed) for s in ("base", "clover")
+        )
         acc[app] = clover.accuracy_loss_pct
         carbon[app] = runner.carbon_saving_pct(clover, base)
         sla[app] = runner.latency_norm(clover, base)
@@ -582,14 +598,11 @@ def fig10_scheme_comparison(
     """Fig. 10: all schemes' (carbon save, accuracy gain) vs BASE."""
     runner = runner or ExperimentRunner()
     schemes = ("co2opt", "blover", "clover", "oracle")
-    matrix = runner.run_matrix(
-        ("base",) + schemes, applications, fidelity=fidelity, seed=seed
-    )
     save, gain = {}, {}
     for app in applications:
-        base = matrix[(app, "base")]
+        base = _paper_run(runner, app, "base", fidelity, seed)
         for s in schemes:
-            r = matrix[(app, s)]
+            r = _paper_run(runner, app, s, fidelity, seed)
             save[(app, s)] = runner.carbon_saving_pct(r, base)
             gain[(app, s)] = -r.accuracy_loss_pct
     return Fig10Result(
@@ -636,9 +649,8 @@ def fig11_objective_timeline(
     """Fig. 11: the Eq. 3 objective of the deployed config over 48 h."""
     runner = runner or ExperimentRunner()
     schemes = ("co2opt", "blover", "clover", "oracle")
-    matrix = runner.run_matrix(schemes, applications, fidelity=fidelity, seed=seed)
     series = {
-        (app, s): matrix[(app, s)].objective_series()
+        (app, s): _paper_run(runner, app, s, fidelity, seed).objective_series()
         for app in applications
         for s in schemes
     }
@@ -685,11 +697,7 @@ def fig12_optimization_overhead(
     runner = runner or ExperimentRunner()
     out_frac, out_win, out_n, out_met, out_bad = {}, {}, {}, {}, {}
     for scheme in ("blover", "clover"):
-        r = runner.run(
-            RunSpec(
-                application=application, scheme=scheme, fidelity=fidelity, seed=seed
-            )
-        )
+        r = _paper_run(runner, application, scheme, fidelity, seed)
         out_frac[scheme] = r.optimization_fraction
         out_win[scheme] = r.optimization_fraction_by_window(8.0)
         out_n[scheme] = r.total_evaluations
@@ -740,9 +748,7 @@ def fig13_invocation_trajectories(
 ) -> Fig13Result:
     """Fig. 13: configurations explored at invocations I, II and the last."""
     runner = runner or ExperimentRunner()
-    r = runner.run(
-        RunSpec(application=application, scheme="clover", fidelity=fidelity, seed=seed)
-    )
+    r = _paper_run(runner, application, "clover", fidelity, seed)
     if not r.invocations:
         raise RuntimeError("the Clover run recorded no optimization invocations")
     picks = {
@@ -829,39 +835,27 @@ def fig14_lambda_and_threshold(
 ) -> Fig14Result:
     """Fig. 14: (a) lambda sweep at 100 gCO2/kWh; (b) accuracy floors."""
     runner = runner or ExperimentRunner()
-    runner.register_trace(
-        f"constant-{lambda_ci:g}", _near_constant_trace(lambda_ci)
-    )
 
+    def run(scheme: str, **knobs) -> RunResult:
+        # No scenario spec names a custom trace or an accuracy floor, and
+        # no other figure reads these runs: they run unmemoized.
+        return CarbonAwareInferenceService.create(
+            application=application, scheme=scheme, fidelity=fidelity,
+            seed=seed, **knobs,
+        ).run()
+
+    flat = _near_constant_trace(lambda_ci)
     l_save, l_gain = {}, {}
-    base_flat = runner.run(
-        RunSpec(
-            application=application, scheme="base",
-            trace_name=f"constant-{lambda_ci:g}", fidelity=fidelity, seed=seed,
-        )
-    )
+    base_flat = run("base", trace=flat)
     for lam in lambdas:
-        r = runner.run(
-            RunSpec(
-                application=application, scheme="clover",
-                trace_name=f"constant-{lambda_ci:g}", fidelity=fidelity,
-                seed=seed, lambda_weight=lam,
-            )
-        )
+        r = run("clover", trace=flat, lambda_weight=lam)
         l_save[lam] = runner.carbon_saving_pct(r, base_flat)
         l_gain[lam] = -r.accuracy_loss_pct
 
     f_save, f_loss = {}, {}
-    base = runner.run(
-        RunSpec(application=application, scheme="base", fidelity=fidelity, seed=seed)
-    )
+    base = _paper_run(runner, application, "base", fidelity, seed)
     for floor in floors:
-        r = runner.run(
-            RunSpec(
-                application=application, scheme="clover", fidelity=fidelity,
-                seed=seed, accuracy_floor_pct=floor,
-            )
-        )
+        r = run("clover", accuracy_floor_pct=floor)
         f_save[floor] = runner.carbon_saving_pct(r, base)
         f_loss[floor] = r.accuracy_loss_pct
     return Fig14Result(
@@ -898,6 +892,25 @@ class Fig15Result:
         return headers, rows
 
 
+def _ten_gpu_sizing(
+    application: str, fidelity: str, seed: int
+) -> tuple[float, Baseline]:
+    """The 10-GPU BASE run's workload rate and its measured baseline.
+
+    Derived as the run derives them: the CISO-March mean intensity and
+    the fidelity's SLA sample, so fewer GPUs chase BASE's own p95.
+    """
+    zoo, perf = default_zoo(), PerfModel()
+    fam = zoo.for_application(application)
+    rate = default_rate(fam, perf, PAPER_N_GPUS)
+    return rate, derive_baseline(
+        zoo=zoo, perf=perf, family=fam.name, n_gpus=PAPER_N_GPUS,
+        rate_per_s=rate, ci_base=ciso_march_48h().mean(),
+        des_requests=FidelityProfile.by_name(fidelity).sla_des_requests,
+        seed=seed,
+    )
+
+
 @experiment("fig15", "Fig. 15 — provisioning fewer GPUs")
 def fig15_reduced_gpus(
     runner: ExperimentRunner | None = None,
@@ -913,32 +926,20 @@ def fig15_reduced_gpus(
     normalized p95 above 1 violates the SLA and above 3 is reported as the
     paper's "> 3" overload marker.
     """
-    from repro.core.service import derive_baseline
-    from repro.models.perf import PerfModel
-    from repro.models.zoo import default_zoo
-
     runner = runner or ExperimentRunner()
-    zoo, perf = default_zoo(), PerfModel()
     norm: dict[tuple[str, str, int], float] = {}
     for app in applications:
-        fam = zoo.for_application(app)
-        rate10 = default_rate(fam, perf, PAPER_N_GPUS)
-        spec10 = RunSpec(
-            application=app, scheme="base", fidelity=fidelity, seed=seed,
-            duration_h=duration_h,
+        base10 = _paper_run(
+            runner, app, "base", fidelity, seed, duration_h=duration_h
         )
-        base10 = runner.run(spec10)
-        baseline = derive_baseline(
-            zoo=zoo, perf=perf, family=fam.name, n_gpus=PAPER_N_GPUS,
-            rate_per_s=rate10, ci_base=220.0, des_requests=12000, seed=seed,
-        )
+        rate10, baseline = _ten_gpu_sizing(app, fidelity, seed)
         for scheme in ("base", "clover"):
             for n in gpu_counts:
                 if scheme == "base" and n == PAPER_N_GPUS:
                     norm[(app, scheme, n)] = 1.0
                     continue
-                from repro.core.service import CarbonAwareInferenceService
-
+                # The pinned baseline is no spec field: these runs call
+                # the facade directly, unmemoized.
                 service = CarbonAwareInferenceService.create(
                     application=app, scheme=scheme, n_gpus=n,
                     rate_per_s=rate10, fidelity=fidelity, seed=seed,
@@ -998,43 +999,29 @@ def fig16_geographic(
 ) -> Fig16Result:
     """Fig. 16: Clover vs BASE on all three regional/seasonal traces.
 
-    The three paper traces run through the scenario layer as N=1
-    single-region scenarios with the static router — behavior-identical
-    to the seed single-cluster service (verified bit-for-bit in the fleet
-    tests), but exercising the same coordinator the multi-region
-    experiments use; the cost is that these runs are memoized per
-    ScenarioSpec, not shared with the Figs. 9-13 matrix.  Relative
-    metrics (carbon saving %, accuracy loss) are invariant to the
-    registry regions' PUE, which cancels between Clover and BASE.  Custom
-    traces registered on the runner fall back to the single-cluster path
-    (they have no fleet region).
+    Each trace is the embedded trace of one registry region, so every
+    run is an N=1 scenario like the other paper figures' runs; the
+    CISO-March runs are the Figs. 9-13 runs, shared through the memo.
+    Relative metrics (carbon saving %, accuracy loss) are invariant to
+    the regions' PUE, which cancels between Clover and BASE.  A trace
+    name outside :data:`_FIG16_REGIONS` raises ``ValueError``.
     """
+    for tr in trace_names:
+        if tr not in _FIG16_REGIONS:
+            raise ValueError(
+                f"unknown fig16 trace {tr!r}; valid: {', '.join(_FIG16_REGIONS)}"
+            )
     runner = runner or ExperimentRunner()
     acc, save = {}, {}
     for tr in trace_names:
-        region = _FIG16_REGIONS.get(tr)
         for app in applications:
-            if region is not None:
-                base, clover = (
-                    runner.run_scenario(
-                        ScenarioSpec(
-                            regions=(RegionSpec(name=region),),
-                            application=app,
-                            scheme=scheme,
-                            fidelity=fidelity,
-                            seed=seed,
-                            net_latency_ms=0.0,  # the paper has no network
-                            routing=RoutingSpec(router="static"),
-                        )
-                    )
-                    for scheme in ("base", "clover")
+            base, clover = (
+                _paper_run(
+                    runner, app, scheme, fidelity, seed,
+                    region=_FIG16_REGIONS[tr],
                 )
-            else:
-                matrix = runner.run_matrix(
-                    ("base", "clover"), (app,), trace_name=tr,
-                    fidelity=fidelity, seed=seed,
-                )
-                base, clover = matrix[(app, "base")], matrix[(app, "clover")]
+                for scheme in ("base", "clover")
+            )
             acc[(tr, app)] = clover.accuracy_loss_pct
             save[(tr, app)] = runner.carbon_saving_pct(clover, base)
     return Fig16Result(
@@ -1091,12 +1078,11 @@ def savings_estimate(
     paper's physical equivalents.
     """
     runner = runner or ExperimentRunner()
-    matrix = runner.run_matrix(
-        ("base", "clover"), fidelity=fidelity, seed=seed
-    )
     savings_j = []
     for app in APPLICATIONS_UNDER_TEST:
-        base, clover = matrix[(app, "base")], matrix[(app, "clover")]
+        base, clover = (
+            _paper_run(runner, app, s, fidelity, seed) for s in ("base", "clover")
+        )
         e_base = base.total_energy_j / base.total_requests
         e_clover = clover.total_energy_j / clover.total_requests
         savings_j.append(e_base - e_clover)

@@ -1,9 +1,8 @@
 """One-shot reproduction report: every experiment, one Markdown document.
 
-``python -m repro report --out REPORT.md`` regenerates the full
-paper-vs-measured record (the data behind EXPERIMENTS.md) in a single run,
-with timings and the environment header a reviewer needs to re-check the
-numbers.
+``python -m repro report --out REPORT.md`` regenerates every
+registered experiment's table in a single run, with timings and the
+environment header a reader needs to re-check the numbers.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ def generate_report(
         f"- python: {platform.python_version()} on {platform.system()}",
         "- every table below is regenerable with "
         f"`python -m repro run <experiment> --fidelity {fidelity} --seed {seed}`",
-        "- see EXPERIMENTS.md for the paper-vs-measured discussion of each",
         "",
     ]
     total_s = 0.0

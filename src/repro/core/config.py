@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.gpu.partitions import (
-    FINEST_PARTITION_ID,
     FULL_GPU_PARTITION_ID,
     MIG_PARTITIONS,
     MigPartition,
@@ -216,8 +215,3 @@ def co2opt_config(
     raise ValueError(  # pragma: no cover - smallest always fits 7g
         f"{smallest.name} does not fit any MIG partition"
     )
-
-
-# Re-export the paper's anchor ids for convenience of downstream code.
-FULL_GPU = FULL_GPU_PARTITION_ID
-FINEST = FINEST_PARTITION_ID

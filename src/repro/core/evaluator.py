@@ -426,11 +426,6 @@ class ConfigEvaluator:
         return self._misses
 
     @property
-    def cache_batched(self) -> int:
-        """Evaluations computed through the vectorized rate-grid path."""
-        return self._batched
-
-    @property
     def cache_stats(self) -> CacheStats:
         """Counters snapshot: how much evaluation work the cache saved."""
         return CacheStats(

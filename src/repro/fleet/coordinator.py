@@ -406,11 +406,6 @@ class FleetResult:
             )
 
     @property
-    def _epoch_s(self) -> float:
-        """Epoch length in seconds (every region shares it)."""
-        return self.duration_h * 3600.0 / len(self.results[0].epochs)
-
-    @property
     def batch_completed_requests(self) -> float:
         """Batch requests actually admitted and served during the run."""
         self._require_batch()
@@ -1180,7 +1175,7 @@ class FleetCoordinator:
         drive's *simulation results* — every rate, p95, energy and carbon
         number — bit-for-bit identical to the serial one; only the
         epoch's wall-clock changes.  The one non-physical exception:
-        with caches pooled across regions (a spec's ``shared_cache``),
+        with caches pooled across regions (every scenario pools them),
         *which* racing region gets counted the miss for a shared entry is
         timing-dependent, so per-region hit/miss diagnostics may
         attribute warm-up work differently between parallel runs.

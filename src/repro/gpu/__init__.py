@@ -30,6 +30,5 @@ __all__ = lazy_exports(__name__, {
     "profiles": (
         "DeviceProfile", "DevicePool", "DEVICE_PROFILES", "DEVICE_NAMES",
         "A100_PROFILE", "H100_PROFILE", "L4_PROFILE", "profile_by_name",
-        "parse_devices",
     ),
 })

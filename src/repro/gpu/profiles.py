@@ -56,8 +56,6 @@ __all__ = [
     "H100_PROFILE",
     "L4_PROFILE",
     "profile_by_name",
-    "parse_devices",
-    "parse_region_devices",
 ]
 
 #: Operating point of the family-independent efficiency ranking: the
@@ -340,55 +338,3 @@ class DevicePool:
         return "+".join(
             f"{count}x{name}" for name, count in sorted(self.counts().items())
         )
-
-
-def parse_region_devices(spec: str) -> str | tuple[str, ...]:
-    """Parse one region's device spec into :attr:`Region.devices` form.
-
-    A single-name spec collapses to the bare name (broadcast to the
-    region's GPU count); multi-entry specs stay an explicit per-GPU tuple
-    whose length must match the region's ``n_gpus``.
-
-    >>> parse_region_devices("l4")
-    'l4'
-    >>> parse_region_devices("a100:1,l4:1")
-    ('a100', 'l4')
-    """
-    names = parse_devices(spec)
-    return names[0] if len(names) == 1 else names
-
-
-def parse_devices(spec: str) -> tuple[str, ...]:
-    """Parse a CLI device-mix string into per-GPU profile names.
-
-    Accepts a bare name (``"a100"`` — uniform, broadcast by the caller), a
-    comma list (``"a100,l4"``), and counted entries (``"a100:2,l4:2"``).
-    Names are validated against the registry.
-
-    >>> parse_devices("a100:2,l4:2")
-    ('a100', 'a100', 'l4', 'l4')
-    >>> parse_devices("h100")
-    ('h100',)
-    """
-    names: list[str] = []
-    for part in spec.split(","):
-        part = part.strip().lower()
-        if not part:
-            continue
-        if ":" in part:
-            name, _, count_s = part.partition(":")
-            try:
-                count = int(count_s)
-            except ValueError:
-                raise ValueError(
-                    f"bad device count in {part!r} (want name:count)"
-                ) from None
-            if count <= 0:
-                raise ValueError(f"device count must be positive in {part!r}")
-        else:
-            name, count = part, 1
-        profile_by_name(name)  # raises KeyError on an unknown name
-        names.extend([name] * count)
-    if not names:
-        raise ValueError(f"no device names in {spec!r}")
-    return tuple(names)

@@ -103,8 +103,7 @@ def build_coordinator(spec: ScenarioSpec) -> FleetCoordinator:
         )
         for i, (region, scheme) in enumerate(zip(regions, spec.region_schemes))
     ]
-    if spec.shared_cache:
-        share_evaluator_caches(services)
+    share_evaluator_caches(services)
 
     demand = None
     if spec.demand.kind is not None:

@@ -330,9 +330,6 @@ class ScenarioSpec:
     routing, demand, gating, batch:
         The composable sub-specs (``batch`` adds a deferrable workload
         the temporal scheduler shifts into clean epochs).
-    shared_cache:
-        Pool analytic evaluator caches across identical-hardware regions
-        (results unchanged, warm-up cost drops); ``False`` opts out.
     parallel_regions:
         Step each epoch's regions through a thread pool of this many
         workers (``None``/1 = the serial driver; results identical).
@@ -353,7 +350,6 @@ class ScenarioSpec:
     demand: DemandSpec = field(default_factory=DemandSpec)
     gating: GatingSpec = field(default_factory=GatingSpec)
     batch: BatchSpec = field(default_factory=BatchSpec)
-    shared_cache: bool = True
     parallel_regions: int | None = None
     name: str = ""
 

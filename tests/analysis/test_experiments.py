@@ -8,6 +8,8 @@ import pytest
 
 from repro.analysis.experiments import (
     _CELLS,
+    _paper_run,
+    _ten_gpu_sizing,
     demand_routing,
     fig2_mixed_quality,
     fig3_partitioning,
@@ -21,6 +23,7 @@ from repro.analysis.experiments import (
     table1,
     temporal_shifting,
 )
+from repro.analysis.runner import APPLICATIONS_UNDER_TEST, ExperimentRunner
 
 
 class TestTable1:
@@ -135,6 +138,20 @@ class TestFig6:
         _, rows = fig6_selection_example().table()
         cells = {row[5] for row in rows}
         assert {"4.4", "2.2", "6.0", "7.0"} <= cells
+
+
+class TestFig15:
+    @pytest.mark.parametrize("application", APPLICATIONS_UNDER_TEST)
+    def test_fewer_gpus_chase_the_ten_gpu_base_baseline(self, application):
+        """The baseline pinned on the fewer-GPU runs is the one the
+        10-GPU BASE run measures: same SLA target, same C_base."""
+        _, baseline = _ten_gpu_sizing(application, "smoke", 0)
+        base10 = _paper_run(
+            ExperimentRunner(), application, "base", "smoke", 0,
+            duration_h=12.0,
+        )
+        assert baseline.sla.p95_target_ms == base10.sla_target_ms
+        assert baseline.c_base_g_per_request == base10.c_base
 
 
 class TestDemandRouting:

@@ -13,18 +13,20 @@ from repro.analysis.export import (
     table_to_json,
     write_json,
 )
-from repro.analysis.runner import ExperimentRunner, RunSpec
+from repro.analysis.runner import ExperimentRunner
+from repro.scenarios import RegionSpec, RoutingSpec, ScenarioSpec
 
 
 @pytest.fixture(scope="module")
 def run_result():
-    runner = ExperimentRunner()
-    return runner.run(
-        RunSpec(
-            application="classification", scheme="clover", fidelity="smoke",
-            seed=0, n_gpus=2, duration_h=6.0,
-        )
+    """One paper-figure run: the region of an N=1 scenario."""
+    spec = ScenarioSpec(
+        regions=(RegionSpec(name="us-ciso"),),
+        application="classification", scheme="clover", fidelity="smoke",
+        seed=0, n_gpus=2, duration_h=6.0, net_latency_ms=0.0,
+        routing=RoutingSpec(router="static"),
     )
+    return ExperimentRunner().run_scenario(spec).results[0]
 
 
 class TestTableExport:
@@ -76,7 +78,6 @@ class TestRunResultExport:
 
     def test_infinite_latency_becomes_null(self):
         """Overloaded configs report infinite p95; JSON gets null."""
-        runner = ExperimentRunner()
         from repro.core.service import Baseline, CarbonAwareInferenceService
         from repro.serving.sla import SlaPolicy
 

@@ -16,7 +16,6 @@ from repro.analysis.runner import ExperimentRunner
 from repro.fleet import CapacityManager, GatingPolicy, region_by_name
 from repro.fleet.regional import RegionalService
 from repro.fleet.routing import CarbonGreedyRouter, RoutingContext, make_router
-from repro.gpu.profiles import parse_region_devices
 from repro.scenarios import (
     DemandSpec,
     GatingSpec,
@@ -305,10 +304,7 @@ class TestScenarioDevices:
         result = ExperimentRunner().run_scenario(
             ScenarioSpec(
                 regions=(
-                    RegionSpec(
-                        name="us-ciso",
-                        devices=parse_region_devices("a100:1,l4:1"),
-                    ),
+                    RegionSpec(name="us-ciso", devices=("a100", "l4")),
                 ),
                 fidelity="smoke",
                 n_gpus=2,

@@ -11,7 +11,6 @@ from repro.gpu.profiles import (
     DeviceProfile,
     H100_PROFILE,
     L4_PROFILE,
-    parse_devices,
     profile_by_name,
 )
 from repro.models.perf import PerfModel
@@ -129,21 +128,3 @@ class TestDevicePool:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="at least one GPU"):
             DevicePool(profiles=())
-
-
-class TestParseDevices:
-    def test_forms(self):
-        assert parse_devices("a100") == ("a100",)
-        assert parse_devices("a100,l4") == ("a100", "l4")
-        assert parse_devices("a100:2,l4:2") == ("a100", "a100", "l4", "l4")
-        assert parse_devices("H100:1") == ("h100",)
-
-    def test_bad_specs_rejected(self):
-        with pytest.raises(KeyError, match="unknown device"):
-            parse_devices("v100")
-        with pytest.raises(ValueError, match="count"):
-            parse_devices("a100:zero")
-        with pytest.raises(ValueError, match="positive"):
-            parse_devices("a100:0")
-        with pytest.raises(ValueError, match="no device names"):
-            parse_devices(" , ")

@@ -131,11 +131,11 @@ class TestCrossApplication:
     def test_clover_effective_on_other_apps(self, application):
         """Fig. 9 spans all three Table-1 applications.
 
-        Absolute accuracy-loss magnitudes are family-specific (see
-        EXPERIMENTS.md: our detection/language losses run above the paper's
-        2-4% because Eq. 3 at lambda=0.5 is carbon-dominated under our
-        energy calibration); the robust claims are big carbon savings and
-        accuracy no worse than the CO2OPT floor.
+        Absolute accuracy-loss magnitudes are family-specific (our
+        detection/language losses run above the paper's 2-4% because Eq. 3
+        at lambda=0.5 is carbon-dominated under our energy calibration);
+        the robust claims are big carbon savings and accuracy no worse
+        than the CO2OPT floor.
         """
         runs = {}
         for scheme in ("base", "co2opt", "clover"):

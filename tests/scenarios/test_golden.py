@@ -7,8 +7,9 @@ Two layers of protection against drift:
   its recorded headline metrics to 1e-9 relative.  A new scenario file
   needs a recorded golden before it can land; a golden whose file is gone
   fails too.
-* **Spec mapping** — the fleet experiment entries must build exactly the
-  literal ``ScenarioSpec`` values below (the ladders are read through
+* **Spec mapping** — the experiment entries must run exactly the
+  literal ``ScenarioSpec`` values below (the paper figures' N=1 specs
+  are recorded as they run; the ladders are read through
   ``Ladder.specs``, with no run), so a registry entry can never silently
   change what it runs.
 """
@@ -150,6 +151,103 @@ class RecordingRunner(ExperimentRunner):
     def run_scenario(self, spec):
         self.specs.append(spec)
         return super().run_scenario(spec)
+
+
+def paper_spec(application, scheme, region="us-ciso", duration_h=None):
+    """The N=1 spec a paper figure runs at smoke fidelity, seed 0."""
+    return ScenarioSpec(
+        regions=(RegionSpec(name=region),),
+        application=application,
+        scheme=scheme,
+        fidelity="smoke",
+        seed=0,
+        duration_h=duration_h,
+        net_latency_ms=0.0,
+        routing=RoutingSpec(router="static"),
+    )
+
+
+#: The paper's three evaluation applications, in Table-1 order.
+APPS = ("detection", "language", "classification")
+
+
+class TestPaperFiguresRunN1Specs:
+    """Each paper figure asks the runner for exactly these N=1 specs, in
+    order (memo hits included)."""
+
+    def _record(self, entry, **kwargs):
+        runner = RecordingRunner()
+        entry(runner, fidelity="smoke", seed=0, **kwargs)
+        return runner.specs
+
+    def test_fig9(self):
+        from repro.analysis.experiments import fig9_effectiveness
+
+        specs = self._record(fig9_effectiveness, applications=("classification",))
+        assert specs == [
+            paper_spec("classification", s) for s in ("base", "clover")
+        ]
+
+    def test_fig10(self):
+        from repro.analysis.experiments import fig10_scheme_comparison
+
+        specs = self._record(
+            fig10_scheme_comparison, applications=("classification",)
+        )
+        assert specs == [
+            paper_spec("classification", s)
+            for s in ("base", "co2opt", "blover", "clover", "oracle")
+        ]
+
+    def test_fig11(self):
+        from repro.analysis.experiments import fig11_objective_timeline
+
+        specs = self._record(
+            fig11_objective_timeline, applications=("classification",)
+        )
+        assert specs == [
+            paper_spec("classification", s)
+            for s in ("co2opt", "blover", "clover", "oracle")
+        ]
+
+    def test_fig12(self):
+        from repro.analysis.experiments import fig12_optimization_overhead
+
+        assert self._record(fig12_optimization_overhead) == [
+            paper_spec("classification", s) for s in ("blover", "clover")
+        ]
+
+    def test_fig13(self):
+        from repro.analysis.experiments import fig13_invocation_trajectories
+
+        assert self._record(fig13_invocation_trajectories) == [
+            paper_spec("classification", "clover")
+        ]
+
+    def test_fig14(self):
+        """Only the CISO-March BASE is a spec; the lambda sweep's trace
+        and the accuracy floors are no spec field."""
+        from repro.analysis.experiments import fig14_lambda_and_threshold
+
+        assert self._record(fig14_lambda_and_threshold) == [
+            paper_spec("classification", "base")
+        ]
+
+    def test_fig15(self):
+        """One 12-hour 10-GPU BASE per application; the fewer-GPU runs
+        under its pinned baseline are no spec."""
+        from repro.analysis.experiments import fig15_reduced_gpus
+
+        assert self._record(fig15_reduced_gpus) == [
+            paper_spec(app, "base", duration_h=12.0) for app in APPS
+        ]
+
+    def test_savings(self):
+        from repro.analysis.experiments import savings_estimate
+
+        assert self._record(savings_estimate) == [
+            paper_spec(app, s) for app in APPS for s in ("base", "clover")
+        ]
 
 
 #: The demand/gating/hetero/shifting experiments' shared workload.

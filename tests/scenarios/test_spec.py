@@ -57,7 +57,6 @@ KITCHEN_SINK = ScenarioSpec(
         arrival="business-hours", preemptible=False,
         accuracy_floor_pct=97.0, defer=True,
     ),
-    shared_cache=False,
     parallel_regions=2,
 )
 
@@ -68,7 +67,6 @@ class TestValidation:
         assert spec.region_names == ("us-ciso",)
         assert spec.region_schemes == ("clover",)
         assert not spec.is_mixed_scheme
-        assert spec.shared_cache is True
 
     def test_needs_a_region(self):
         with pytest.raises(ValueError, match="at least one region"):

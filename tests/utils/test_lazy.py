@@ -40,7 +40,7 @@ EAGER_EXPORTS = {
         FULL_GPU_PARTITION_ID
         H100_PROFILE L4_PROFILE MIG_PARTITIONS MigPartition
         NUM_PARTITIONS PowerModel SLICE_TYPES SliceType
-        decompose_histogram parse_devices
+        decompose_histogram
         partition_by_id partition_histogram profile_by_name
         slice_by_name
     """,
@@ -83,7 +83,7 @@ EAGER_EXPORTS = {
     """,
     "repro.analysis": """
         APPLICATIONS_UNDER_TEST EXPERIMENT_REGISTRY
-        ExperimentRunner RunSpec ablate_cooling
+        ExperimentRunner ablate_cooling
         ablate_ged_threshold ablate_trigger_threshold
         ablate_warm_start fig10_scheme_comparison
         fig11_objective_timeline fig12_optimization_overhead
