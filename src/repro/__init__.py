@@ -24,8 +24,8 @@ Multi-region fleets are :class:`ScenarioSpec` descriptions run by a
 ...     regions=regions + (RegionSpec(name="nordic-hydro"),), n_gpus=2,
 ...     fidelity="smoke", duration_h=2.0,
 ...     routing=RoutingSpec(router="carbon-greedy"))
->>> 0.0 <= Scenario(spec).run().sla_attainment <= 1.0
-True
+>>> round(Scenario(spec).run().sla_attainment, 9)  # every epoch in SLA
+1.0
 
 Geo-diurnal demand with forecast-driven proactive routing and elastic
 GPU capacity (idle power follows traffic):
@@ -80,6 +80,6 @@ __all__ = lazy_exports(__name__, {
     "gpu.profiles": ("DevicePool", "DeviceProfile", "profile_by_name"),
     "models.zoo": ("default_zoo",),
     "models.perf": ("PerfModel",),
-    "carbon.traces": ("evaluation_traces", "trace_by_name"),
+    "carbon.traces": ("evaluation_traces",),
     "scenarios": ("RegionSpec", "Scenario", "ScenarioSpec", "run_sweep"),
 }) + ["__version__"]

@@ -51,6 +51,7 @@ from repro.core.service import (
     derive_baseline,
 )
 from repro.fleet.coordinator import FleetResult
+from repro.fleet.regions import _TRACE_FACTORIES
 from repro.gpu.partitions import partition_by_id
 from repro.models.perf import PerfModel
 from repro.models.zoo import ModelZoo, default_zoo
@@ -981,12 +982,15 @@ class Fig16Result:
         return headers, rows
 
 
-#: Fig. 16 trace names mapped onto the fleet region registry.
-_FIG16_REGIONS = {
-    "ciso-march": "us-ciso",
-    "ciso-september": "us-ciso-sept",
-    "eso-march": "uk-eso",
-}
+def _fig16_regions() -> dict[str, str]:
+    """Fig. 16 trace names mapped onto the registry regions that embed
+    them: a region's trace factory returns the evaluation trace itself."""
+    return {
+        name: region
+        for name, trace in evaluation_traces().items()
+        for region, factory in _TRACE_FACTORIES.items()
+        if factory() is trace
+    }
 
 
 @experiment("fig16", "Fig. 16 — geographic/seasonal robustness")
@@ -1004,12 +1008,13 @@ def fig16_geographic(
     CISO-March runs are the Figs. 9-13 runs, shared through the memo.
     Relative metrics (carbon saving %, accuracy loss) are invariant to
     the regions' PUE, which cancels between Clover and BASE.  A trace
-    name outside :data:`_FIG16_REGIONS` raises ``ValueError``.
+    name no registry region embeds raises ``ValueError``.
     """
+    regions = _fig16_regions()
     for tr in trace_names:
-        if tr not in _FIG16_REGIONS:
+        if tr not in regions:
             raise ValueError(
-                f"unknown fig16 trace {tr!r}; valid: {', '.join(_FIG16_REGIONS)}"
+                f"unknown fig16 trace {tr!r}; valid: {', '.join(regions)}"
             )
     runner = runner or ExperimentRunner()
     acc, save = {}, {}
@@ -1018,7 +1023,7 @@ def fig16_geographic(
             base, clover = (
                 _paper_run(
                     runner, app, scheme, fidelity, seed,
-                    region=_FIG16_REGIONS[tr],
+                    region=regions[tr],
                 )
                 for scheme in ("base", "clover")
             )

@@ -20,7 +20,7 @@ __all__ = lazy_exports(__name__, {
     ),
     "traces": (
         "ciso_march_48h", "ciso_september_48h", "eso_march_48h",
-        "evaluation_traces", "trace_by_name", "EVALUATION_SPAN_HOURS",
+        "evaluation_traces", "EVALUATION_SPAN_HOURS",
     ),
     "accounting": ("DEFAULT_PUE", "joules_to_kwh", "carbon_grams"),
     "monitor": ("CarbonIntensityMonitor", "DEFAULT_CHANGE_THRESHOLD"),

@@ -29,7 +29,6 @@ __all__ = [
     "ciso_september_48h",
     "eso_march_48h",
     "evaluation_traces",
-    "trace_by_name",
     "EVALUATION_SPAN_HOURS",
 ]
 
@@ -67,12 +66,3 @@ def evaluation_traces() -> dict[str, CarbonIntensityTrace]:
         "eso-march": eso_march_48h(),
     }
 
-
-def trace_by_name(name: str) -> CarbonIntensityTrace:
-    """Look an evaluation trace up by short name (``"ciso-march"``)."""
-    traces = evaluation_traces()
-    try:
-        return traces[name.lower()]
-    except KeyError:
-        valid = ", ".join(sorted(traces))
-        raise KeyError(f"unknown trace {name!r}; valid: {valid}") from None

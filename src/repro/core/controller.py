@@ -520,11 +520,7 @@ class ServiceController:
             n_powered = (
                 capacity.awake_gpus if capacity is not None else self.scheme.n_gpus
             )
-            static_w = (
-                self.measure_evaluator.perf.power.static_watts_per_gpu()
-                * n_powered
-            )
-            energy_j += static_w * stable_s
+            energy_j += self.measure_evaluator.static_watts(n_powered) * stable_s
             p95_ms = float("nan")
             if capacity is None or n_powered >= deployed.n_gpus:
                 num_instances = deployed.num_instances
@@ -553,13 +549,11 @@ class ServiceController:
             # wake window — their ramp draw is the driver's wake transition
             # energy (aux_energy_j), bounded by that same static floor, so
             # a gated epoch can never out-spend its always-on twin.
-            waking = capacity.awake_gpus - capacity.start_gpus
-            static_per_gpu = (
-                self.measure_evaluator.perf.power.static_watts_per_gpu()
+            ev = self.measure_evaluator
+            waking_w = ev.static_watts(capacity.awake_gpus) - ev.static_watts(
+                capacity.start_gpus
             )
-            e_stable = (
-                post.power_watts * stable_s - static_per_gpu * waking * wake_s
-            )
+            e_stable = post.power_watts * stable_s - waking_w * wake_s
             energy_j += e_stable
             acc_weighted += pre.accuracy * r_pre + post.accuracy * r_post
             requests += r_pre + r_post

@@ -356,6 +356,18 @@ class ConfigEvaluator:
         """
         return None if self.device_pool is None else self.device_pool.names
 
+    def static_watts(self, n_powered: int) -> float:
+        """Always-on draw of the first ``n_powered`` devices, priced on
+        their own silicon (the pool's canonical prefix, or the A100s)."""
+        if self.device_pool is None:
+            return self.perf.power.static_watts_per_gpu() * n_powered
+        return float(
+            sum(
+                p.power.static_watts_per_gpu()
+                for p in self.device_pool.profiles[:n_powered]
+            )
+        )
+
     def set_awake_gpus(self, awake_gpus: int | None) -> None:
         """Cap subsequent evaluations to ``awake_gpus`` GPUs.
 
@@ -571,16 +583,9 @@ class ConfigEvaluator:
             return cached
         if self.device_pool is None:
             service, watts, acc = self._instance_arrays(graph)
-            static_watts = self.perf.power.static_watts_per_gpu() * n_powered
         else:
             service, watts, acc = self._pool_instance_arrays(graph, n_powered)
-            static_watts = float(
-                sum(
-                    p.power.static_watts_per_gpu()
-                    for p in self.device_pool.profiles[:n_powered]
-                )
-            )
-        out = (service, watts, acc, static_watts)
+        out = (service, watts, acc, self.static_watts(n_powered))
         self._arrays_cache[key] = out
         return out
 

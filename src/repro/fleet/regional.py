@@ -253,16 +253,7 @@ class RegionalService:
 
     def awake_static_watts(self) -> float:
         """Always-on draw of the awake devices (pool-aware)."""
-        if self.device_pool is None:
-            return (
-                self.power_model.static_watts_per_gpu() * self.awake_gpus
-            )
-        return float(
-            sum(
-                p.power.static_watts_per_gpu()
-                for p in self.device_pool.profiles[: self.awake_gpus]
-            )
-        )
+        return self.controller.measure_evaluator.static_watts(self.awake_gpus)
 
     def marginal_energy_per_request_j(
         self, static_amortize_utilization: float | None = None

@@ -7,6 +7,8 @@ each region again sees a Poisson process at its assigned rate, which is why
 the per-region control loops can keep the seed's evaluator machinery
 unchanged.  Conservation is structural — every policy returns shares whose
 rates sum to the global rate, so no arrival is dropped or double-counted.
+The greedy fills take ``min(left, room)`` from the rate still left, so
+that holds at any capacity scale: no take can outgrow what is left.
 
 Three policies, per the paper-adjacent systems (EcoServe, CarbonEdge):
 
@@ -299,36 +301,29 @@ def _ramp_envelope(ctx: RoutingContext) -> tuple[np.ndarray, np.ndarray]:
 def _water_fill(ctx: RoutingContext, order: np.ndarray) -> np.ndarray:
     """Fill regions in ``order`` up to their caps, floors guaranteed first.
 
-    Returns per-region *rates* summing to the global rate.  If the ordered
-    caps cannot absorb everything (SLA or ramp caps too tight), the
-    remainder spills proportionally to remaining *capacity* headroom; if
-    even capacity is exhausted, proportionally to nominal rates —
-    conservation always wins over caps, and the overloaded epochs show up
-    in the DES measurements.
-
-    The sequential fill is expressed as a prefix-sum over the ordered cap
-    headrooms: region ``i`` in order takes
-    ``clip(remaining - sum(room[:i]), 0, room[i])`` — property-tested
-    against the one-region-at-a-time loop it replaced, kept as an oracle
-    in ``tests/fleet/test_routing_batch.py`` (identical up to float
-    summation order; bit-for-bit on a single region).
+    Returns per-region *rates* summing to the global rate: each region in
+    order takes ``min(left, room)`` of the rate still left, until none is.
+    If the ordered caps cannot absorb everything (SLA or ramp caps too
+    tight), the remainder spills proportionally to remaining *capacity*
+    headroom; if even capacity is exhausted, proportionally to nominal
+    rates — conservation always wins over caps, and the overloaded epochs
+    show up in the DES measurements.
     """
     floors, caps = _ramp_envelope(ctx)
-    rates = floors.copy()
-    remaining = ctx.global_rate_per_s - float(rates.sum())
-    if remaining > 0.0:
-        room = np.maximum(caps[order] - rates[order], 0.0)
-        filled = np.cumsum(room)
-        prior = filled - room
-        take = np.clip(remaining - prior, 0.0, room)
-        rates[order] += take
-        remaining = max(0.0, remaining - float(filled[-1]))
-    else:
-        remaining = 0.0
-    if remaining > 0.0:
+    rates = floors.tolist()
+    caps = caps.tolist()
+    left = ctx.global_rate_per_s - float(floors.sum())
+    for r in order.tolist():
+        if left <= 0.0:
+            break
+        take = min(left, max(0.0, caps[r] - rates[r]))
+        rates[r] += take
+        left -= take
+    rates = np.array(rates, dtype=np.float64)
+    if left > 0.0:
         headroom = np.maximum(ctx.capacity_rates - rates, 0.0)
         basis = headroom if headroom.sum() > 0 else ctx.nominal_rates
-        rates = rates + remaining * basis / basis.sum()
+        rates = rates + left * basis / basis.sum()
     return rates
 
 

@@ -20,13 +20,12 @@ current epoch is *deadline-forced*: it is placed into slot 0 regardless
 of how dirty the grid looks, up to whatever leftover capacity exists.
 
 :func:`plan_batch_slots` permutes the slot capacities into score-rank
-order once, water-fills each lot with a running sum over the open rank
-positions inside its deadline — stopping as soon as the sum provably
-covers the lot — and scatters the allocation back to slot order once at
-the end.  Its arithmetic is the rank-space numpy loop's, op for op; that
-loop stays in ``tests/shifting/test_scheduler_properties.py`` as the
-bit-for-bit oracle, next to the explicit per-slot loop that is the
-semantic reference.
+order once, fills each lot from its remaining need over the open rank
+positions inside its deadline — ``take = min(left, room)`` until nothing
+is left — and scatters the allocation back to slot order once at the
+end.  The explicit per-slot loop in
+``tests/shifting/test_scheduler_properties.py`` is its bit-for-bit
+reference.
 """
 
 from __future__ import annotations
@@ -72,24 +71,8 @@ def plan_batch_slots(
     fall short of ``requests`` only when the lot's eligible slots lack
     capacity — the caller keeps the remainder queued.
 
-    Preemptible lots are planned in *rank space*: position ``j`` is the
-    ``j``-th cleanest slot.  Each lot (earliest deadline first) runs the
-    water-fill ``c += room; take = min(max(need - (c - room), 0), room)``
-    over the positions inside its deadline, so every take equals the
-    water-fill over the gathered eligible slots bit for bit.  Positions
-    past the deadline or with no room left are skipped, and the scan
-    stops once the running sum covers the need with a rounding slack
-    (see :func:`_water_fill_ranked`); both skips are exact.
-
-    ``prior = c - room`` cancels when a small room precedes a huge one,
-    so a lot can be over-served: ``plan_batch_slots([1.], [1],
-    [1., 2.**60], [1., 2.])`` returns ``[[1., 1.]]`` — a need of 1 gets
-    2 — where the per-slot reference gives ``[[1., 0.]]``.  Fixing it
-    moves ulps of every plan, so it waits for its own re-pin.
-
     Raises ``ValueError`` unless every capacity is finite and
-    non-negative and no request count is NaN (the domain on which the
-    scan's skips are exact).
+    non-negative and no request count is NaN.
 
     >>> alloc = plan_batch_slots(
     ...     np.array([10.0]), np.array([2]),
@@ -155,73 +138,37 @@ def _water_fill_ranked(
     edf: list[int],
     alloc: np.ndarray,
 ) -> None:
-    """Preemptible EDF water-fill in rank space, written into ``alloc``.
+    """Preemptible EDF fill in rank space, written into ``alloc``.
 
     ``rooms[j]`` is the spare capacity of the ``j``-th cleanest slot and
-    ``rank_slot[j]`` its slot index.  Each lot runs
-    ``c += room; prior = c - room; take = min(max(need - prior, 0), room)``
-    over its deadline window in rank order, op for op as the rank-space
-    numpy loop (``np.maximum`` and ``np.minimum`` return their second
-    operand on ties, hence ``+0.0`` for ``max(0, 0)``).  Three kinds of
-    position are settled without running that arithmetic, exactly:
-
-    * a position past the deadline, or with room ``+0.0``, adds ``+0.0``
-      to ``c`` (``need > 0``, so the sign of a zero ``c`` never reaches a
-      take) and takes ``+0.0``;
-    * once ``c >= need + slack`` with ``slack = 4·2**-53·T`` (``T`` the
-      ``math.fsum`` of the capacities), every later
-      ``prior = fl(fl(c + room) - room)`` is at least ``c - 2·2**-53·T``
-      (to first order) and the stop test rounds off at most
-      ``2**-53·T`` more, so ``need - prior <= 0`` and every later take
-      is ``+0.0``;
-    * a ``-0.0`` room never moves ``c`` and always takes ``-0.0``
-      (``min(m, -0.0)`` with ``m >= +0.0``), leaving ``+0.0`` behind, so
-      it is settled for the first lot whose window holds it.
+    ``rank_slot[j]`` its slot index.  Each lot, earliest deadline first,
+    takes ``min(left, room)`` from each open position inside its deadline
+    until nothing of its need is left.
     """
     n_slots = len(rooms)
-    try:
-        slack = 4.0 * 2.0**-53 * math.fsum(rooms)
-    except OverflowError:  # capacities summing past the float range
-        slack = math.inf
     open_pos = [j for j, room in enumerate(rooms) if room > 0.0]
-    signed_zero_slots = [
-        slot
-        for slot, room in zip(rank_slot, rooms)
-        if math.copysign(1.0, room) < 0.0
-    ]
     rows: list[int] = []
     cols: list[int] = []
     takes: list[float] = []
     for li in edf:
-        need = needs[li]
-        if need <= 0.0:
+        left = needs[li]
+        if left <= 0.0:
             continue
         last = max(0, min(deadlines[li], n_slots - 1))
-        if signed_zero_slots:
-            for slot in signed_zero_slots:
-                if slot <= last:
-                    rows.append(li)
-                    cols.append(slot)
-                    takes.append(-0.0)
-            signed_zero_slots = [s for s in signed_zero_slots if s > last]
-        stop = need + slack
-        c = 0.0
         closed = False
         for j in open_pos:
             slot = rank_slot[j]
             if slot > last:
                 continue
             room = rooms[j]
-            c += room
-            x = need - (c - room)
-            if x > 0.0:
-                take = x if x < room else room
-                rooms[j] = room - take
-                closed = closed or take == room
-                rows.append(li)
-                cols.append(slot)
-                takes.append(take)
-            if c >= stop:
+            take = min(left, room)
+            rooms[j] = room - take
+            closed = closed or take == room
+            rows.append(li)
+            cols.append(slot)
+            takes.append(take)
+            left -= take
+            if left <= 0.0:
                 break
         if closed:
             open_pos = [j for j in open_pos if rooms[j] > 0.0]

@@ -8,7 +8,6 @@ from repro.carbon.traces import (
     ciso_september_48h,
     eso_march_48h,
     evaluation_traces,
-    trace_by_name,
 )
 
 
@@ -46,14 +45,10 @@ class TestEvaluationTraces:
             assert (rel > 0.05).sum() >= 10
 
     def test_lookup_by_name(self):
-        assert trace_by_name("ciso-march") is ciso_march_48h()
-        assert trace_by_name("ESO-MARCH") is eso_march_48h()
-
-    def test_unknown_name_raises(self):
-        import pytest
-
-        with pytest.raises(KeyError, match="valid"):
-            trace_by_name("texas")
+        traces = evaluation_traces()
+        assert traces["ciso-march"] is ciso_march_48h()
+        assert traces["ciso-september"] is ciso_september_48h()
+        assert traces["eso-march"] is eso_march_48h()
 
     def test_traces_are_distinct(self):
         vals = [tuple(tr.values) for tr in evaluation_traces().values()]

@@ -278,6 +278,56 @@ class TestEpochCapacity:
         assert woke.awake_gpus == 2
         assert woke.p95_ms > steady.p95_ms
 
+    def test_reactive_wake_prices_the_waking_gpus_own_static_draw(
+        self, zoo, perf
+    ):
+        """On an all-L4 pool, a reactive wake owes the waking L4's 18 W
+        over the wake window, not an A100's 35 W."""
+        from repro.core.controller import EpochCapacity
+        from repro.gpu.profiles import DevicePool
+
+        fam = zoo.family("efficientnet")
+        pool = DevicePool.uniform("l4", 2)
+        rate = default_rate(
+            fam, perf, 2, throughput_scale_sum=pool.throughput_scale_sum
+        )
+        evaluators = [
+            ConfigEvaluator(
+                zoo=zoo, perf=perf, family=fam.name, rate_per_s=rate,
+                n_gpus=2, method=method, des_requests=600, seed=5,
+                device_pool=pool,
+            )
+            for method in ("analytic", "des")
+        ]
+        base_ev = evaluators[1].evaluate(base_config(fam, 2))
+        objective = ObjectiveSpec(
+            lambda_weight=0.5,
+            a_base=fam.base_accuracy,
+            c_base=0.0015,
+            sla=SlaPolicy(p95_target_ms=base_ev.p95_ms),
+        )
+        controller = build_controller(
+            (fam, 2, rate, *evaluators, objective), "base", flat_trace()
+        )
+        result = controller.begin_run()
+        controller.step(result, 0, 0.0)
+        wake_s = 300.0
+        awake = controller.step(
+            result, 1, 0.5, rate_per_s=rate,
+            capacity=EpochCapacity(awake_gpus=2),
+        )
+        woke = controller.step(
+            result, 2, 1.0, rate_per_s=rate,
+            capacity=EpochCapacity(
+                awake_gpus=2, serving_gpus_at_start=1, wake_delay_s=wake_s,
+            ),
+        )
+        l4_static_w = pool.profiles[1].power.static_watts_per_gpu()
+        assert l4_static_w == 18.0
+        assert awake.energy_j - woke.energy_j == pytest.approx(
+            l4_static_w * wake_s, rel=1e-9
+        )
+
     def test_capacity_cleared_between_steps(self, parts):
         """An ungated step after a gated one must be indistinguishable
         from the seed loop (the awake cap must not leak)."""

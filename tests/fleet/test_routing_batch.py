@@ -1,9 +1,10 @@
-"""Vectorized routing vs the scalar references, property-tested.
+"""Routing fills vs the scalar references, property-tested.
 
-`_water_fill` and `plan_origin_cells` were rewritten as array programs;
 `_water_fill_scalar` / `_plan_origin_cells_scalar` below keep the original
-per-cell loops as the semantic reference.  Agreement must be within
-summation-order noise (<= 1e-9 relative, typically ~1e-14).
+one-region-at-a-time and per-cell loops as the semantic references.
+`_water_fill` must equal its reference bit for bit; the cell planner,
+whose session retention sums on arrays, within summation-order noise
+(<= 1e-9 relative, typically ~1e-14).
 
 `plan_origin_cells` then moved its greedy phases from numpy scalars to
 Python floats; `plan_origin_cells_numpy` keeps the all-numpy planner as
@@ -14,9 +15,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.fleet.routing import (
+    CarbonGreedyRouter,
     RoutingContext,
     _ramp_envelope,
     _ramp_up_caps,
@@ -363,6 +365,29 @@ def fill_contexts(draw):
     return ctx
 
 
+@st.composite
+def scaled_fill_contexts(draw):
+    """Contexts whose capacities and global rate are each scaled by 2**-40
+    to 2**70, so a small room can come before a huge one, with floors, SLA
+    caps and an order drawn too."""
+    n = draw(region_counts)
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    capacity = rng.uniform(1.0, 100.0, n) * 2.0 ** rng.integers(-40, 71, n)
+    sla_caps = None
+    if draw(st.booleans()):
+        sla_caps = rng.uniform(0.3, 1.5, n) * capacity
+    ctx = make_ctx(
+        ci=rng.uniform(10.0, 500.0, n),
+        latency=np.linspace(5.0, 50.0, n),
+        nominal=capacity / 1.3,
+        capacity=capacity,
+        sla_caps=sla_caps,
+        floor_share=draw(st.sampled_from([0.0, 0.05, 0.5])),
+        global_rate=rng.uniform(1.0, 100.0) * 2.0 ** int(rng.integers(-40, 71)),
+    )
+    return ctx, rng.permutation(n)
+
+
 class TestWaterFill:
     @given(ctx=fill_contexts(), seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=80, deadline=None)
@@ -370,7 +395,7 @@ class TestWaterFill:
         order = np.random.default_rng(seed).permutation(len(ctx.ci))
         vec = _water_fill(ctx, order)
         ref = _water_fill_scalar(ctx, order)
-        np.testing.assert_allclose(vec, ref, rtol=RTOL, atol=1e-12)
+        assert vec.tobytes() == ref.tobytes()
 
     def test_single_region_bitwise(self):
         ctx = make_ctx(
@@ -386,8 +411,38 @@ class TestWaterFill:
         order = np.argsort(ctx.ci, kind="stable")
         vec = _water_fill(ctx, order)
         ref = _water_fill_scalar(ctx, order)
-        np.testing.assert_allclose(vec, ref, rtol=RTOL)
+        assert vec.tobytes() == ref.tobytes()
         assert vec.sum() == pytest.approx(1e4, rel=1e-12)
+
+    @given(problem=scaled_fill_contexts())
+    @example(
+        problem=(
+            make_ctx(
+                ci=(100.0, 200.0), latency=(5.0, 20.0), nominal=(1.0, 1.0),
+                capacity=(2.0, 2.0**60), floor_share=0.5, global_rate=3.0,
+            ),
+            np.array([0, 1]),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_routed_rates_sum_to_the_global_rate(self, problem):
+        """Conservation at any capacity scale, and the same rates as the
+        one-region-at-a-time reference."""
+        ctx, order = problem
+        rates = _water_fill(ctx, order)
+        assert rates.tobytes() == _water_fill_scalar(ctx, order).tobytes()
+        assert (rates >= 0.0).all()
+        assert rates.sum() == pytest.approx(ctx.global_rate_per_s, rel=1e-12)
+
+    def test_a_small_room_before_a_huge_one_does_not_over_route(self):
+        """A fill from prefix sums took ``left - (cumsum - room)``; at the
+        2**60 room ``cumsum - room`` cancels to 0, and 4.5 req/s of 3 were
+        routed."""
+        ctx = make_ctx(
+            ci=(100.0, 200.0), latency=(5.0, 20.0), nominal=(1.0, 1.0),
+            capacity=(2.0, 2.0**60), floor_share=0.5, global_rate=3.0,
+        )
+        assert CarbonGreedyRouter().rates(ctx).tolist() == [2.0, 1.0]
 
 
 @st.composite

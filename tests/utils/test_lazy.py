@@ -16,7 +16,7 @@ EAGER_EXPORTS = {
         Region RegionSpec RunResult Scenario ScenarioSpec
         __version__ default_fleet_regions default_origins
         default_zoo evaluation_traces profile_by_name
-        region_by_name run_sweep trace_by_name
+        region_by_name run_sweep
     """,
     "repro.core": """
         BaseScheme Baseline BloverScheme CandidateRecord
@@ -52,7 +52,7 @@ EAGER_EXPORTS = {
         GridProfile PersistenceForecaster
         carbon_grams ciso_march_48h ciso_september_48h
         eso_march_48h evaluation_traces forecast_mae
-        generate_trace joules_to_kwh trace_by_name
+        generate_trace joules_to_kwh
     """,
     "repro.serving": """
         DEFAULT_BASE_UTILIZATION DEFAULT_JITTER_CV
